@@ -29,7 +29,7 @@ __all__ = [
     "Var", "Parameter", "Tape", "recording", "custom_op", "as_var",
     "forward", "backward", "zero_grads", "grad_check", "GradCheckReport",
     "add", "sub", "mul", "scale", "relu", "sigmoid", "sum_all", "dot",
-    "conv_valid", "conv_stack", "pad_spatial", "channel_bias", "max_pool",
+    "conv_stack", "pad_spatial", "channel_bias", "max_pool",
     "upsample_nearest", "concat_channels", "global_avg_pool", "affine",
     "apply_mask", "mix_filters", "squeeze_leading",
     "set_fault_injection",
@@ -288,19 +288,6 @@ def dot(a, b) -> Var:
     )
 
 
-def conv_valid(x, k) -> Var:
-    """Single-map valid cross-correlation, differentiable in both arguments."""
-    x, k = as_var(x), as_var(k)
-    out = _op("conv_valid", kernels.conv_valid, x.array, k.array)
-    xa, ka = x.array, k.array
-
-    def vjp(g):
-        return (kernels.conv_valid_grad_input(g, ka),
-                kernels.conv_valid_grad_kernel(xa, g))
-
-    return custom_op(Tensor._wrap(out), (x, k), vjp)
-
-
 def conv_stack(x, f) -> Var:
     """Channel-stacked valid cross-correlation: (N,*sp) x (M,N,*k) -> (M,*osp).
 
@@ -483,10 +470,6 @@ class GradCheckReport:
     tolerance: float
     max_rel_err: float
     passed: bool
-
-    @property
-    def kink_count(self) -> int:
-        return sum(1 for r in self.rows if r.kinked)
 
     def worst_by_param(self) -> dict[str, float]:
         worst: dict[str, float] = {}

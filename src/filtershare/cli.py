@@ -3,8 +3,8 @@
 Every command is driven by one JSON config (defaults <- file <- --set
 overrides), validates it before any work, writes CSV artifacts plus the
 resolved config into the output directory, and is bitwise-reproducible for a
-fixed config and seed. Exit codes: 0 success, 1 check failure, 2 usage or
-config error.
+fixed config and seed. Exit codes: 0 success, 1 check failure, 2 usage,
+config or input-format error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import config as cfgmod
 from . import data, factorize, nets, traineval
 from . import sharedconv as sc
-from .errors import ConfigError, FilterShareError
+from .errors import ConfigError, FilterShareError, FormatError
 from .regularizers import RegularizerConfig
 from .tensor import Tensor
 
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return _COMMANDS[args.command](cfg)
-    except (ConfigError, OSError) as e:
+    except (ConfigError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except FilterShareError as e:

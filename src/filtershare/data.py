@@ -15,7 +15,6 @@ per-class seeded shuffles.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataCorruptionError, FormatError
-from .tensor import Tensor, dump_tensor, load_tensor
+from .tensor import Tensor
 
 RECORD_BYTES = 3073
 BATCH_RECORDS = 10_000
@@ -38,7 +37,10 @@ _TAG_TEMPLATE = 13
 _TAG_SPLIT = 14
 
 
-def _child_rng(seed: int, *key: int) -> np.random.Generator:
+def child_rng(seed: int, *key: int) -> np.random.Generator:
+    """The package's one seeded stream helper: PCG64 over the SeedSequence
+    (seed, spawn_key=key). Each caller owns its leading tag (traineval 1-2,
+    nets 3, data 11-14), so the streams never collide."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -197,7 +199,7 @@ def subset(dataset, fraction: float, seed: int) -> SubsetView:
     shuffled = {}
     for cls in classes:
         idx = np.nonzero(labels == cls)[0]
-        order = _child_rng(seed, _TAG_CLASS, int(cls)).permutation(len(idx))
+        order = child_rng(seed, _TAG_CLASS, int(cls)).permutation(len(idx))
         shuffled[int(cls)] = idx[order]
     # allocation sequence: next item always to the class maximizing n_c/(2a+1)
     heap = [(-len(shuffled[int(c)]), int(c), 0) for c in classes]
@@ -229,7 +231,7 @@ def split(dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0):
                      reverse=True)
     for i in by_frac[:rest]:
         counts[i] += 1
-    perm = _child_rng(seed, _TAG_SPLIT).permutation(n)
+    perm = child_rng(seed, _TAG_SPLIT).permutation(n)
     views = []
     at = 0
     for c in counts:
@@ -305,7 +307,7 @@ def synth_nodule_dataset(count: int, seed: int,
         raise ConfigError(f"dataset size must be >= 1, got {count}")
     samples = []
     for i in range(count):
-        rng = _child_rng(seed, _TAG_SAMPLE, i)
+        rng = child_rng(seed, _TAG_SAMPLE, i)
         semi_axes = rng.uniform(3.0, 8.0, size=3)
         margin = float(semi_axes.max()) + 1.0
         center = rng.uniform(margin, VOLUME_EXTENT - 1 - margin, size=3)
@@ -327,45 +329,6 @@ def synth_nodule_dataset(count: int, seed: int,
     return samples
 
 
-def save_volume_dataset(directory, samples, seed: int | None = None) -> None:
-    """Persist volume/mask pairs as tensor dumps plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"count": len(samples), "seed": seed, "samples": []}
-    for i, s in enumerate(samples):
-        dump_tensor(s.volume, directory / f"sample_{i:04d}.volume.bin")
-        dump_tensor(s.mask, directory / f"sample_{i:04d}.mask.bin")
-        manifest["samples"].append({
-            "index": i,
-            "center": list(s.params.center),
-            "semi_axes": list(s.params.semi_axes),
-            "rotation": [list(row) for row in s.params.rotation],
-            "contrast": s.params.contrast,
-        })
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def load_volume_dataset(directory) -> list[VolumeSample]:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    samples = []
-    for entry in manifest["samples"]:
-        i = entry["index"]
-        params = EllipsoidParams(
-            center=tuple(entry["center"]),
-            semi_axes=tuple(entry["semi_axes"]),
-            rotation=tuple(map(tuple, entry["rotation"])),
-            contrast=entry["contrast"],
-        )
-        samples.append(VolumeSample(
-            volume=load_tensor(directory / f"sample_{i:04d}.volume.bin"),
-            mask=load_tensor(directory / f"sample_{i:04d}.mask.bin"),
-            params=params,
-        ))
-    return samples
-
-
 # ---------------------------------------------------------------------------
 # toy classification task (CIFAR-shaped, fully synthetic)
 # ---------------------------------------------------------------------------
@@ -376,7 +339,7 @@ def _class_templates(seed: int, num_classes: int) -> np.ndarray:
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     templates = np.zeros((num_classes, 3, 32, 32))
     for cls in range(num_classes):
-        rng = _child_rng(seed, _TAG_TEMPLATE, cls)
+        rng = child_rng(seed, _TAG_TEMPLATE, cls)
         for ch in range(3):
             t = np.zeros((32, 32))
             for _ in range(3):
@@ -401,7 +364,7 @@ def toy_image_dataset(count: int, seed: int, num_classes: int = 10,
     templates = _class_templates(seed, num_classes)
     samples = []
     for i in range(count):
-        rng = _child_rng(seed, _TAG_SAMPLE, i)
+        rng = child_rng(seed, _TAG_SAMPLE, i)
         label = i % num_classes
         img = 0.5 + contrast * templates[label]
         img = img + rng.normal(0.0, noise_sigma, size=img.shape)

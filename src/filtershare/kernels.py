@@ -1,9 +1,9 @@
-"""Raw float64 array kernels shared by the tensor API and the autodiff ops.
+"""Raw float64 array kernels under the autodiff ops.
 
-All convolutions here are cross-correlations (no kernel flip); learned filters
-absorb the flip and this matches common CNN practice. Two layouts appear: a
-"map" is a bare spatial array, a "stack" carries a leading channel axis
-(channels, *spatial). Every function is pure and deterministic.
+The convolution is a cross-correlation (no kernel flip); learned filters
+absorb the flip and this matches common CNN practice. Arrays are "stacks"
+with a leading channel axis (channels, *spatial). Every function is pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -25,59 +25,6 @@ def require_kernel_fits(in_spatial, k_spatial, what="kernel"):
             raise ShapeError(
                 f"{what} extent {k} exceeds input extent {i} in dimension {d}"
             )
-
-
-def zero_pad(x, widths):
-    """Pad every axis of x by widths[d] zeros on both sides."""
-    return np.pad(x, [(w, w) for w in widths])
-
-
-def crop(x, widths):
-    """Inverse of zero_pad."""
-    slices = tuple(slice(w, s - w) for w, s in zip(widths, x.shape))
-    return x[slices]
-
-
-# ---------------------------------------------------------------------------
-# single-map convolution (D spatial dims, no channel axis)
-# ---------------------------------------------------------------------------
-
-def conv_valid(x, k):
-    """Valid cross-correlation: out[p] = sum_u x[p+u] * k[u]."""
-    require_kernel_fits(x.shape, k.shape)
-    win = sliding_window_view(x, k.shape)
-    return np.tensordot(win, k, axes=(tuple(range(x.ndim, 2 * x.ndim)),
-                                      tuple(range(k.ndim))))
-
-
-def conv_valid_grad_input(g, k):
-    """d(sum g*out)/dx: full correlation of g with the flipped kernel."""
-    gp = zero_pad(g, [e - 1 for e in k.shape])
-    return conv_valid(gp, np.flip(k))
-
-
-def conv_valid_grad_kernel(x, g):
-    """d(sum g*out)/dk, which is conv_valid(x, g)."""
-    return conv_valid(x, g)
-
-
-def conv_same(x, k):
-    """Shape-preserving cross-correlation; requires odd kernel extents.
-
-    The kernel may exceed the input extent: padding by (extent - 1) / 2 per
-    side always leaves room for one valid placement per input position.
-    """
-    if k.ndim != x.ndim:
-        raise ShapeError(
-            f"kernel is {k.ndim}-dimensional but input is {x.ndim}-dimensional"
-        )
-    for d, e in enumerate(k.shape):
-        if e % 2 == 0:
-            raise ConfigError(
-                f"same-padding convolution needs odd kernel extents, "
-                f"got {e} in dimension {d}"
-            )
-    return conv_valid(zero_pad(x, [(e - 1) // 2 for e in k.shape]), k)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +169,6 @@ def upsample_stack_vjp(g, factor):
     blocked = (g.shape[0],) + tuple(t for s in in_sp for t in (s, factor))
     gb = g.reshape(blocked)
     return gb.sum(axis=tuple(2 + 2 * i for i in range(len(in_sp))))
-
-
-def repeat_all(x, factor):
-    """upsample_stack without a channel axis: every axis is spatial."""
-    if factor < 1:
-        raise ConfigError(f"upsample factor must be >= 1, got {factor}")
-    out = x
-    for ax in range(x.ndim):
-        out = np.repeat(out, factor, axis=ax)
-    return out
 
 
 # ---------------------------------------------------------------------------

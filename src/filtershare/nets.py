@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import sharedconv as sc
+from .data import child_rng
 from .errors import ConfigError, ShapeError
 from .regularizers import make_dropout_mask
 from .tensor import Shape, Tensor
@@ -362,12 +363,6 @@ def build_unet3d(levels: int = 3, base_channels: int = 8, shared: bool = False,
 _TAG_INIT = 3
 
 
-def _init_rng(seed: int, layer_index: int, slot: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed,
-                                spawn_key=(_TAG_INIT, layer_index, slot))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 class Network:
     """A NetSpec bound to concrete Parameters, runnable under a tape."""
 
@@ -386,15 +381,15 @@ class Network:
                                        * (cs.in_channels + cs.out_channels)))
                 if cs.shared:
                     p = cs.sharing_p
-                    seeds = _init_rng(seed, i, 0).uniform(
+                    seeds = child_rng(seed, _TAG_INIT, i, 0).uniform(
                         -limit, limit, size=(p,) + cs.kernel_extents)
-                    alpha = _init_rng(seed, i, 1).normal(
+                    alpha = child_rng(seed, _TAG_INIT, i, 1).normal(
                         0.0, 1.0 / np.sqrt(p),
                         size=(cs.out_channels, cs.in_channels, p))
                     params[f"layer{i}.seeds"] = ad.Parameter(f"layer{i}.seeds", seeds)
                     params[f"layer{i}.alpha"] = ad.Parameter(f"layer{i}.alpha", alpha)
                 else:
-                    w = _init_rng(seed, i, 0).uniform(
+                    w = child_rng(seed, _TAG_INIT, i, 0).uniform(
                         -limit, limit,
                         size=(cs.out_channels, cs.in_channels) + cs.kernel_extents)
                     params[f"layer{i}.weights"] = ad.Parameter(f"layer{i}.weights", w)
@@ -402,7 +397,7 @@ class Network:
                     f"layer{i}.bias", np.zeros(cs.out_channels))
             elif isinstance(layer, Dense):
                 limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
-                w = _init_rng(seed, i, 0).uniform(
+                w = child_rng(seed, _TAG_INIT, i, 0).uniform(
                     -limit, limit, size=(layer.out_dim, layer.in_dim))
                 params[f"layer{i}.weights"] = ad.Parameter(f"layer{i}.weights", w)
                 params[f"layer{i}.bias"] = ad.Parameter(
@@ -417,8 +412,10 @@ class Network:
     def alpha_params(self) -> list[ad.Parameter]:
         return [p for k, p in sorted(self.params.items()) if k.endswith(".alpha")]
 
-    def seed_params(self) -> list[ad.Parameter]:
-        return [p for k, p in sorted(self.params.items()) if k.endswith(".seeds")]
+    def bank_params(self) -> list[tuple[ad.Parameter, ad.Parameter]]:
+        """(seeds, alpha) Parameter pairs, one per shared layer."""
+        return [(p, self.params[k[:-len("seeds")] + "alpha"])
+                for k, p in sorted(self.params.items()) if k.endswith(".seeds")]
 
     def conv_layer_indices(self) -> list[int]:
         return [i for i, layer in enumerate(self.spec.layers)

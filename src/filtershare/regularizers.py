@@ -41,20 +41,16 @@ class RegularizerConfig:
 
 
 def project_unit_norm(bank: FilterBank) -> FilterBank:
-    """Rescale every seed filter to unit L2 norm (applied after each step)."""
-    norms = bank.norms()
-    bad = np.nonzero(norms < _MIN_SEED_NORM)[0]
-    if bad.size:
-        raise DegenerateSeedError(
-            f"seed filter(s) {bad.tolist()} collapsed to norm < {_MIN_SEED_NORM}; "
-            f"unit-norm projection would be meaningless"
-        )
-    expand = (slice(None),) + (None,) * (bank.seeds.array.ndim - 1)
-    return FilterBank(Tensor._wrap(bank.seeds.array / norms[expand]))
+    """Rescale every seed filter to unit L2 norm."""
+    unit, _ = project_unit_norm_array(bank.seeds.array)
+    return FilterBank(Tensor._wrap(unit))
 
 
-def project_unit_norm_array(seeds: np.ndarray) -> np.ndarray:
-    """Array-level projection used by the optimizer on parameter values."""
+def project_unit_norm_array(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm seeds of a (P, *k) stack, plus the P norms divided out.
+
+    Multiplying alpha[:, :, p] by norm p keeps every expanded filter, so the
+    projection fixes the scale gauge without changing the function."""
     flat = seeds.reshape(seeds.shape[0], -1)
     norms = np.sqrt((flat * flat).sum(axis=1))
     bad = np.nonzero(norms < _MIN_SEED_NORM)[0]
@@ -63,7 +59,7 @@ def project_unit_norm_array(seeds: np.ndarray) -> np.ndarray:
             f"seed filter(s) {bad.tolist()} collapsed to norm < {_MIN_SEED_NORM}; "
             f"unit-norm projection would be meaningless"
         )
-    return seeds / norms[(slice(None),) + (None,) * (seeds.ndim - 1)]
+    return seeds / norms[(slice(None),) + (None,) * (seeds.ndim - 1)], norms
 
 
 def l1_penalty(alpha, weight: float) -> ad.Var:

@@ -10,15 +10,13 @@ the bias (M scalars) is never shared.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-from .tensor import Shape, Tensor, dump_tensor, load_tensor
+from .tensor import Shape, Tensor
 
 VALID = "valid"
 SAME = "same"
@@ -210,47 +208,3 @@ def sharing_breakeven(spec: ConvLayerSpec) -> int:
     """Largest P with M*N*P + P*S < M*N*S; 0 when no P saves anything."""
     m, n, s = spec.out_channels, spec.in_channels, spec.filter_size
     return (m * n * s - 1) // (m * n + s)
-
-
-# ---------------------------------------------------------------------------
-# layer checkpointing: one tensor dump per array plus a JSON sidecar
-# ---------------------------------------------------------------------------
-
-def save_layer_checkpoint(directory, spec: ConvLayerSpec, bank, alpha, bias) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    dump_tensor(_as_tensor(_seeds_operand(bank)), directory / "seeds.bin")
-    dump_tensor(_as_tensor(_alpha_operand(alpha)), directory / "alpha.bin")
-    dump_tensor(_as_tensor(bias), directory / "bias.bin")
-    sidecar = {
-        "in_channels": spec.in_channels,
-        "out_channels": spec.out_channels,
-        "kernel_extents": list(spec.kernel_extents),
-        "padding": spec.padding,
-        "sharing_p": spec.sharing_p,
-    }
-    (directory / "layer.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def load_layer_checkpoint(directory):
-    directory = Path(directory)
-    sidecar = json.loads((directory / "layer.json").read_text())
-    spec = ConvLayerSpec(
-        in_channels=sidecar["in_channels"],
-        out_channels=sidecar["out_channels"],
-        kernel_extents=tuple(sidecar["kernel_extents"]),
-        padding=sidecar["padding"],
-        sharing_p=sidecar["sharing_p"],
-    )
-    bank = FilterBank(load_tensor(directory / "seeds.bin"))
-    alpha = MixingCoefficients(load_tensor(directory / "alpha.bin"))
-    bias = load_tensor(directory / "bias.bin")
-    return spec, bank, alpha, bias
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, ad.Var):
-        return x.value
-    return Tensor(x)

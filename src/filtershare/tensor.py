@@ -1,9 +1,8 @@
-"""Dense float64 tensors and the numeric operations built on them.
+"""Dense float64 tensors and their binary dump format.
 
-Convolution is implemented as cross-correlation (no kernel flip) throughout
-the package: the standard CNN convention, under which learned filters simply
-absorb the flip. All values are 64-bit floats so gradient checks can be tight.
-Tensors are immutable once constructed and safe to share across threads.
+All values are 64-bit floats so gradient checks can be tight. Tensors are
+immutable once constructed and safe to share across threads. The numeric
+operations on them are the differentiable ops in ``autodiff``.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import kernels
-from .errors import FormatError, ShapeError
+from .errors import DataCorruptionError, FormatError, ShapeError
 
 
 class Shape(tuple):
@@ -57,14 +55,6 @@ class Tensor:
         object.__setattr__(t, "array", arr)
         return t
 
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls._wrap(np.zeros(Shape(shape)))
-
-    @classmethod
-    def full(cls, shape, value: float) -> "Tensor":
-        return cls._wrap(np.full(Shape(shape), float(value)))
-
     @property
     def shape(self) -> Shape:
         return Shape(self.array.shape)
@@ -105,100 +95,9 @@ class Tensor:
         return hash((tuple(self.shape), self.array.tobytes()))
 
 
-def _arr(t) -> np.ndarray:
-    return t.array if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# elementwise / reduction operations
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _arr(a), _arr(b)
-    kernels.require_same_shape(x, y, "add operands")
-    return Tensor._wrap(x + y)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _arr(a), _arr(b)
-    kernels.require_same_shape(x, y, "mul operands")
-    return Tensor._wrap(x * y)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor._wrap(_arr(a) * float(c))
-
-
-def relu(a: Tensor) -> Tensor:
-    return Tensor._wrap(kernels.relu(_arr(a)))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return Tensor._wrap(kernels.sigmoid(_arr(a)))
-
-
-def tensor_sum(a: Tensor) -> float:
-    return float(_arr(a).sum())
-
-
-def dot(a: Tensor, b: Tensor) -> float:
-    x, y = _arr(a), _arr(b)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ShapeError("dot expects two 1-dimensional tensors")
-    kernels.require_same_shape(x, y, "dot operands")
-    return float(np.dot(x, y))
-
-
-def upsample_nearest(a: Tensor, factor: int) -> Tensor:
-    """Repeat each element `factor` times along every dimension."""
-    return Tensor._wrap(kernels.repeat_all(_arr(a), int(factor)))
-
-
-# ---------------------------------------------------------------------------
-# convolution and pooling
-# ---------------------------------------------------------------------------
-
-def conv_valid(x: Tensor, k: Tensor) -> Tensor:
-    """Valid cross-correlation: out extent = in - kernel + 1 per dimension."""
-    return Tensor._wrap(kernels.conv_valid(_arr(x), _arr(k)))
-
-
-def conv_same(x: Tensor, k: Tensor) -> Tensor:
-    """Shape-preserving cross-correlation over a zero-padded input.
-
-    Kernel extents must be odd; each side is padded by (extent - 1) / 2.
-    """
-    return Tensor._wrap(kernels.conv_same(_arr(x), _arr(k)))
-
-
-def zero_pad(x: Tensor, widths) -> Tensor:
-    return Tensor._wrap(kernels.zero_pad(_arr(x), [int(w) for w in widths]))
-
-
-def max_pool(x: Tensor, window) -> tuple[Tensor, np.ndarray]:
-    """Non-overlapping max pooling over every dimension.
-
-    `window` is one int (applied to every dim) or a per-dim sequence. Returns
-    the pooled tensor and, per output element, the flat index into x of the
-    chosen maximum (used by the backward scatter).
-    """
-    arr = _arr(x)
-    if np.isscalar(window):
-        window = (int(window),) * arr.ndim
-    else:
-        window = tuple(int(w) for w in window)
-    pooled, sources = kernels.max_pool_stack(arr[None], window)
-    return Tensor._wrap(np.ascontiguousarray(pooled[0])), sources[0]
-
-
-def max_pool_backward(grad: Tensor, sources: np.ndarray, in_shape) -> Tensor:
-    """Scatter pooled gradients back to their argmax positions."""
-    return Tensor._wrap(kernels.max_pool_scatter(_arr(grad), sources, Shape(in_shape)))
-
-
 # ---------------------------------------------------------------------------
 # binary dump format: u32 dim count, u32 extents, then f64 row-major data,
-# all little-endian. Used by checkpoints and the factorization tooling.
+# all little-endian. Used by checkpoints.
 # ---------------------------------------------------------------------------
 
 _U32 = np.dtype("<u4")
@@ -231,4 +130,10 @@ def load_tensor(path) -> Tensor:
             f"for shape {tuple(shape)}"
         )
     data = np.frombuffer(raw, dtype=_F64, offset=header_end).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise DataCorruptionError(
+            f"{path}: {bad.size} non-finite value(s), first at flat index "
+            f"{int(bad[0])}"
+        )
     return Tensor._wrap(np.ascontiguousarray(data.reshape(shape)))

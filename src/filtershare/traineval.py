@@ -20,17 +20,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
+from .data import child_rng
 from .errors import ConfigError, ContractError, ShapeError, TrainingAbort
 from .regularizers import RegularizerConfig, penalty_term, project_unit_norm_array
 from .tensor import Tensor, dump_tensor, load_tensor
 
 _TAG_SHUFFLE = 1
 _TAG_DROPOUT = 2
-
-
-def _child_rng(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +167,19 @@ def make_optimizer(kind: str, learning_rate: float):
 
 
 def optimizer_step(optimizer, params, reg: RegularizerConfig | None = None,
-                   seed_params=()) -> None:
-    """One update: NaN guard, optimizer update, then unit-norm projection of
-    seed banks when that scheme is enabled."""
+                   banks=()) -> None:
+    """One update: NaN guard, optimizer update, then, when that scheme is
+    enabled, unit-norm projection of each (seeds, alpha) bank. Alpha takes
+    up the seed norms, so the expanded filters are unchanged."""
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingAbort(f"non-finite gradient in parameter {p.id}")
     optimizer.step(params)
     if reg is not None and reg.unit_norm_seeds:
-        for p in seed_params:
-            p.assign(Tensor._wrap(project_unit_norm_array(p.value.array)))
+        for seeds, alpha in banks:
+            unit, norms = project_unit_norm_array(seeds.value.array)
+            seeds.assign(Tensor._wrap(unit))
+            alpha.assign(Tensor._wrap(alpha.value.array * norms))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def train(net: nets.Network, train_set, val_set, config: TrainConfig,
     reg = reg or RegularizerConfig()
     params = net.parameters()
     alphas = net.alpha_params()
-    seeds = net.seed_params()
+    banks = net.bank_params()
     optimizer = optimizer or make_optimizer(config.optimizer, config.learning_rate)
     metrics = Metrics()
     n = len(train_set)
@@ -328,14 +327,14 @@ def train(net: nets.Network, train_set, val_set, config: TrainConfig,
 
     for epoch in range(start_epoch, config.epochs):
         t_start = time.perf_counter()
-        order = _child_rng(config.seed, _TAG_SHUFFLE, epoch).permutation(n)
+        order = child_rng(config.seed, _TAG_SHUFFLE, epoch).permutation(n)
         loss_sum = 0.0
         metric_sum = 0.0
         for step_idx, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo:lo + config.batch_size]
             ad.zero_grads(params)
             batch_loss = 0.0
-            drop_rng = _child_rng(config.seed, _TAG_DROPOUT, epoch, step_idx)
+            drop_rng = child_rng(config.seed, _TAG_DROPOUT, epoch, step_idx)
             for item_idx in batch:
                 x, y = _as_xy(train_set[int(item_idx)])
                 tape = ad.Tape()
@@ -357,7 +356,7 @@ def train(net: nets.Network, train_set, val_set, config: TrainConfig,
                 ad.backward(ptape, Tensor([1.0]))
                 batch_loss += float(pvar.array[0])
             loss_sum += batch_loss * len(batch)
-            optimizer_step(optimizer, params, reg, seeds)
+            optimizer_step(optimizer, params, reg, banks)
         train_seconds = time.perf_counter() - t_start
         metrics.append(MetricsRow(
             epoch, "train", loss_sum / n, metric_sum / n,
@@ -388,10 +387,16 @@ def _abort(checkpoint_dir, why: str):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(directory, net: nets.Network, optimizer, epoch: int) -> None:
+    """Write into a sibling ``.tmp`` directory, then swap it into place.
+
+    An existing checkpoint is renamed aside (``.old``) before the swap and
+    deleted after it, so at every instant one complete copy is on disk."""
     directory = Path(directory)
     tmp = directory.with_name(directory.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
+    aside = directory.with_name(directory.name + ".old")
+    for stale in (tmp, aside):
+        if stale.exists():
+            shutil.rmtree(stale)
     tmp.mkdir(parents=True)
     manifest = {
         "format": 1,
@@ -414,8 +419,10 @@ def save_checkpoint(directory, net: nets.Network, optimizer, epoch: int) -> None
     (tmp / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
     if directory.exists():
-        shutil.rmtree(directory)
+        directory.rename(aside)
     tmp.rename(directory)
+    if aside.exists():
+        shutil.rmtree(aside)
 
 
 def load_checkpoint(directory) -> tuple[nets.Network, object, int]:
@@ -439,18 +446,20 @@ def load_checkpoint(directory) -> tuple[nets.Network, object, int]:
     return net, optimizer, int(manifest["epoch"])
 
 
+def _epoch_dirs(directory) -> list[Path]:
+    """Complete checkpoints under directory, oldest first; the ``.tmp`` and
+    ``.old`` siblings of an interrupted save are not checkpoints."""
+    return sorted(d for d in Path(directory).iterdir()
+                  if d.is_dir() and d.name.startswith("epoch_") and not d.suffix)
+
+
 def latest_checkpoint(directory) -> Path | None:
-    directory = Path(directory)
-    if not directory.exists():
+    if not Path(directory).exists():
         return None
-    candidates = sorted(d for d in directory.iterdir()
-                        if d.is_dir() and d.name.startswith("epoch_"))
+    candidates = _epoch_dirs(directory)
     return candidates[-1] if candidates else None
 
 
 def _prune_checkpoints(directory, keep: int) -> None:
-    directory = Path(directory)
-    candidates = sorted(d for d in directory.iterdir()
-                        if d.is_dir() and d.name.startswith("epoch_"))
-    for stale in candidates[:-keep]:
+    for stale in _epoch_dirs(directory)[:-keep]:
         shutil.rmtree(stale)

@@ -23,6 +23,11 @@ def fd_directional(f, params, delta, h=1e-5):
     return (shift(+1.0) - shift(-1.0)) / (2.0 * h)
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in ad.__all__ if not hasattr(ad, name)]
+    assert missing == []
+
+
 class TestForward:
     def test_identity_program_empty_tape(self):
         x = Tensor([1.0, 2.0])
@@ -171,8 +176,8 @@ class TestPrimitiveDotProducts:
         bias3 = ad.Parameter("bias3", rng.normal(size=3))
         w = ad.Parameter("w", rng.normal(size=(4, 6)))
         bw = ad.Parameter("bw", rng.normal(size=4))
-        xmap = ad.Parameter("xmap", rng.normal(size=(5, 5)))
-        kmap = ad.Parameter("kmap", rng.normal(size=(2, 2)))
+        xmap = ad.Parameter("xmap", rng.normal(size=(1, 5, 5)))
+        kmap = ad.Parameter("kmap", rng.normal(size=(1, 1, 2, 2)))
         probe = {
             "mat": Tensor(rng.normal(size=(3, 4))),
             "convout": Tensor(rng.normal(size=(3, 4, 4))),
@@ -182,7 +187,7 @@ class TestPrimitiveDotProducts:
             "cat": Tensor(rng.normal(size=(4, 6, 6))),
             "gap": Tensor(rng.normal(size=2)),
             "aff": Tensor(rng.normal(size=4)),
-            "map": Tensor(rng.normal(size=(4, 4))),
+            "map": Tensor(rng.normal(size=(1, 4, 4))),
             "sq": Tensor(rng.normal(size=(4, 4))),
             "mix": Tensor(rng.normal(size=(3, 2, 3, 3))),
         }
@@ -200,7 +205,8 @@ class TestPrimitiveDotProducts:
             "sigmoid": (lambda: tie(ad.sigmoid(a), "mat"), [a]),
             "dot": (lambda: ad.dot(vec1, vec2), [vec1, vec2]),
             "sum_all": (lambda: ad.sum_all(a), [a]),
-            "conv_valid": (lambda: tie(ad.conv_valid(xmap, kmap), "map"),
+            # valid convolution of one map by one kernel
+            "conv_valid": (lambda: tie(ad.conv_stack(xmap, kmap), "map"),
                            [xmap, kmap]),
             "conv_stack": (lambda: tie(ad.conv_stack(img, filt), "convout"),
                            [img, filt]),

@@ -181,6 +181,23 @@ class TestTrainEvalCommands:
         rows = read_csv(out2 / "eval.csv")
         assert rows[1][1] == "test"
 
+    def test_eval_rejects_nan_in_checkpoint(self, tmp_path, capsys):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        bad = tmp_path / "checkpoints" / "epoch_0000" / "layer0.seeds.bin"
+        raw = bytearray(bad.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["eval", "--output-dir", str(tmp_path / "eval_out"),
+                "--set", "task=synth3d",
+                "--set", "data.count=8",
+                "--set", "arch.levels=2",
+                "--set", "arch.base_channels=2",
+                "--set", "arch.input_extent=8",
+                "--set", f"resume={tmp_path / 'checkpoints'}"]
+        assert run(args) == cli.EXIT_USAGE
+        assert str(bad) in capsys.readouterr().err
+
     def test_cifar_task_without_root_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.DATA_ROOT_ENV, raising=False)
         args = ["train", "--output-dir", str(tmp_path), "--set", "task=cifar"]

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtershare import autodiff as ad
+from filtershare import nets
 from filtershare import sharedconv as sc
+from filtershare import traineval as te
 from filtershare.errors import ConfigError, ShapeError
 from filtershare.tensor import Tensor
 
@@ -241,12 +243,20 @@ class TestSpecValidation:
 
 class TestLayerCheckpoint:
     def test_round_trip(self, tmp_path, rng):
-        spec, seeds, alpha, bias = random_layer(rng, p=3)
-        sc.save_layer_checkpoint(tmp_path / "layer", spec,
-                                 sc.FilterBank(seeds),
-                                 sc.MixingCoefficients(alpha), bias)
-        spec2, bank2, alpha2, bias2 = sc.load_layer_checkpoint(tmp_path / "layer")
-        assert spec2 == spec
-        assert np.array_equal(bank2.seeds.array, seeds.array)
-        assert np.array_equal(alpha2.alpha.array, alpha.array)
-        assert np.array_equal(bias2.array, bias.array)
+        """A one-shared-layer net through the trainer's checkpoint format."""
+        spec, seeds, alpha, bias = random_layer(rng, m=1, p=3)
+        net = nets.Network(
+            nets.NetSpec(name="one_layer", input_shape=(2, 6, 6),
+                         layers=(nets.ConvBlock(spec),), head=nets.HEAD_MASK),
+            {"layer0.seeds": ad.Parameter("layer0.seeds", seeds),
+             "layer0.alpha": ad.Parameter("layer0.alpha", alpha),
+             "layer0.bias": ad.Parameter("layer0.bias", bias)})
+        te.save_checkpoint(tmp_path / "layer", net, te.SGD(0.1), epoch=0)
+        net2, _, _ = te.load_checkpoint(tmp_path / "layer")
+        assert net2.spec.layers[0].conv == spec
+        assert np.array_equal(net2.params["layer0.seeds"].value.array,
+                              seeds.array)
+        assert np.array_equal(net2.params["layer0.alpha"].value.array,
+                              alpha.array)
+        assert np.array_equal(net2.params["layer0.bias"].value.array,
+                              bias.array)

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtershare.tensor as T
-from filtershare.errors import ConfigError, FormatError, ShapeError
+from filtershare import autodiff as ad
+from filtershare import kernels as K
+from filtershare import sharedconv as sc
+from filtershare.errors import (ConfigError, DataCorruptionError, FormatError,
+                                ShapeError)
 from filtershare.tensor import Shape, Tensor
 
 
@@ -40,139 +44,180 @@ class TestShapeAndTensor:
         arr[0] = 2.0  # must still be writable
 
 
+def conv1(x, k):
+    """kernels.conv_stack on one input map and one filter (N = M = 1)."""
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
+    return K.conv_stack(x[None], k[None, None])[0]
+
+
 class TestConvValid:
     def test_1d_hand_sum(self):
-        assert T.conv_valid(Tensor([1, 2, 3]), Tensor([1, 1])).tolist() == [3, 5]
+        assert conv1([1, 2, 3], [1, 1]).tolist() == [3, 5]
 
     def test_2d_identity_kernel(self):
-        out = T.conv_valid(Tensor([[1, 2], [3, 4]]), Tensor([[1]]))
+        out = conv1([[1, 2], [3, 4]], [[1]])
         assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_3d_all_ones_counts_summands(self):
-        out = T.conv_valid(Tensor(np.ones((3, 3, 3))), Tensor(np.ones((2, 2, 2))))
+        out = conv1(np.ones((3, 3, 3)), np.ones((2, 2, 2)))
         assert out.shape == (2, 2, 2)
-        assert np.all(out.array == 8.0)
+        assert np.all(out == 8.0)
 
     def test_kernel_too_large_names_dimension(self):
         with pytest.raises(ShapeError, match="dimension 1"):
-            T.conv_valid(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3))))
+            conv1(np.ones((4, 2)), np.ones((2, 3)))
 
     def test_rank_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv_valid(Tensor(np.ones((4, 4))), Tensor(np.ones(2)))
+            conv1(np.ones((4, 4)), np.ones(2))
 
     def test_linearity(self, rng):
-        x = Tensor(rng.normal(size=(6, 7)))
-        y = Tensor(rng.normal(size=(6, 7)))
-        k = Tensor(rng.normal(size=(3, 2)))
+        x = rng.normal(size=(6, 7))
+        y = rng.normal(size=(6, 7))
+        k = rng.normal(size=(3, 2))
         a, b = 1.7, -0.4
-        lhs = T.conv_valid(Tensor(a * x.array + b * y.array), k).array
-        rhs = a * T.conv_valid(x, k).array + b * T.conv_valid(y, k).array
+        lhs = conv1(a * x + b * y, k)
+        rhs = a * conv1(x, k) + b * conv1(y, k)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_one_hot_kernel_is_shifted_slice(self, rng):
-        x = Tensor(rng.normal(size=(5, 6)))
+        x = rng.normal(size=(5, 6))
         k = np.zeros((2, 3))
         k[1, 2] = 1.0
-        out = T.conv_valid(x, Tensor(k))
-        assert np.array_equal(out.array, x.array[1:5, 2:6])
+        assert np.array_equal(conv1(x, k), x[1:5, 2:6])
+
+
+def same_forward(x, f, b=None):
+    """sharedconv.layer_forward with SAME padding on plain arrays."""
+    x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
+    spec = sc.ConvLayerSpec(f.shape[1], f.shape[0], f.shape[2:],
+                            padding=sc.SAME)
+    b = np.zeros(f.shape[0]) if b is None else b
+    return sc.layer_forward(spec, Tensor(f), Tensor(b), Tensor(x)).array
+
+
+def same_reference(x, f, b):
+    """out[i] = b[i] + sum over j and kernel offsets u of f[i, j, u] times
+    the u-shifted slice of the zero-padded x[j]."""
+    half = [(e - 1) // 2 for e in f.shape[2:]]
+    xp = np.pad(x, [(0, 0)] + [(h, h) for h in half])
+    sp = x.shape[1:]
+    out = np.zeros((f.shape[0],) + sp)
+    for u in np.ndindex(*f.shape[2:]):
+        shifted = xp[(slice(None),) + tuple(slice(o, o + s)
+                                            for o, s in zip(u, sp))]
+        out += np.tensordot(f[(slice(None), slice(None)) + u], shifted, axes=1)
+    return out + b[(slice(None),) + (None,) * len(sp)]
 
 
 class TestConvSame:
     def test_centered_identity(self):
-        out = T.conv_same(Tensor([1, 2, 3]), Tensor([0, 1, 0]))
-        assert out.tolist() == [1.0, 2.0, 3.0]
+        out = same_forward([[1, 2, 3]], [[[0, 1, 0]]])
+        assert out.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_zero_padding_edge(self):
-        assert T.conv_same(Tensor([1, 1]), Tensor([1, 1, 1])).tolist() == [2.0, 2.0]
+        assert same_forward([[1, 1]], [[[1, 1, 1]]]).tolist() == [[2.0, 2.0]]
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            T.conv_same(Tensor([1, 2, 3]), Tensor([1, 1]))
+            same_forward([[1, 2, 3]], [[[1, 1]]])
 
     def test_matches_explicit_zero_pad(self, rng):
         for _ in range(10):
-            x = Tensor(rng.normal(size=(5, 5)))
-            k = Tensor(rng.normal(size=(3, 3)))
-            via_same = T.conv_same(x, k)
-            via_pad = T.conv_valid(T.zero_pad(x, (1, 1)), k)
-            assert np.array_equal(via_same.array, via_pad.array)
+            x = rng.normal(size=(2, 5, 5))
+            f = rng.normal(size=(3, 2, 3, 3))
+            b = rng.normal(size=3)
+            np.testing.assert_allclose(same_forward(x, f, b),
+                                       same_reference(x, f, b),
+                                       rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 1), st.integers(0, 2023))
     def test_odd_kernel_property(self, half, dims_extra, seed):
         gen = np.random.default_rng(seed)
-        shape = (6,) * (1 + dims_extra)
-        kshape = (2 * half + 1,) * (1 + dims_extra)
-        x = Tensor(gen.normal(size=shape))
-        k = Tensor(gen.normal(size=kshape))
-        assert np.array_equal(
-            T.conv_same(x, k).array,
-            T.conv_valid(T.zero_pad(x, [half] * len(shape)), k).array,
-        )
+        shape = (2,) + (6,) * (1 + dims_extra)
+        kshape = (2, 2) + (2 * half + 1,) * (1 + dims_extra)
+        x = gen.normal(size=shape)
+        f = gen.normal(size=kshape)
+        b = gen.normal(size=2)
+        np.testing.assert_allclose(same_forward(x, f, b),
+                                   same_reference(x, f, b),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def pool_with_grad(x, window, g):
+    """ad.max_pool of x and the input gradient its backward routes from g."""
+    xp = ad.Parameter("x", x)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        pooled = ad.max_pool(xp, window)
+    ad.backward(tape, Tensor(g))
+    return pooled.array, xp.grad
 
 
 class TestMaxPool:
     def test_1d_values_and_argmax(self):
-        pooled, src = T.max_pool(Tensor([1, 3, 2, 4]), 2)
-        assert pooled.tolist() == [3.0, 4.0]
-        assert src.tolist() == [1, 3]
+        pooled, grad = pool_with_grad([[1, 3, 2, 4]], 2, [[1.0, 1.0]])
+        assert pooled.tolist() == [[3.0, 4.0]]
+        assert np.flatnonzero(grad).tolist() == [1, 3]
 
     def test_constant_input(self):
-        pooled, _ = T.max_pool(Tensor(np.full((4, 4), 2.5)), 2)
-        assert np.all(pooled.array == 2.5)
+        pooled = ad.max_pool(Tensor(np.full((1, 4, 4), 2.5)), 2).array
+        assert np.all(pooled == 2.5)
 
     def test_matches_exhaustive_window_max(self, rng):
         x = rng.normal(size=(4, 4))
-        pooled, _ = T.max_pool(Tensor(x), 2)
+        pooled = ad.max_pool(Tensor(x[None]), 2).array[0]
         expected = np.empty((2, 2))
         for i in range(2):
             for j in range(2):
                 expected[i, j] = x[2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
-        assert np.array_equal(pooled.array, expected)
+        assert np.array_equal(pooled, expected)
 
     def test_indivisible_extent(self):
         with pytest.raises(ShapeError, match="dimension 0"):
-            T.max_pool(Tensor(np.ones(5)), 2)
+            ad.max_pool(Tensor(np.ones((1, 5))), 2)
 
     def test_backward_scatter_routes_to_argmax_only(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)))
-        pooled, src = T.max_pool(x, 2)
-        g = Tensor(rng.normal(size=pooled.shape))
-        routed = T.max_pool_backward(g, src, x.shape)
-        assert routed.array.sum() == pytest.approx(g.array.sum(), abs=1e-12)
-        assert np.count_nonzero(routed.array) <= pooled.size
-        # every nonzero lands on a recorded argmax position
-        nz = np.flatnonzero(routed.array)
-        assert set(nz).issubset(set(src.ravel().tolist()))
+        x = rng.normal(size=(4, 6))
+        g = rng.normal(size=(1, 2, 3))
+        _, grad = pool_with_grad(x[None], 2, g)
+        expected = np.zeros((4, 6))
+        for i in range(2):
+            for j in range(3):
+                window = x[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                u, v = np.unravel_index(np.argmax(window), window.shape)
+                expected[2 * i + u, 2 * j + v] = g[0, i, j]
+        assert np.array_equal(grad[0], expected)
 
 
 class TestElementwise:
     def test_relu(self):
-        assert T.relu(Tensor([-1, 0, 2])).tolist() == [0.0, 0.0, 2.0]
+        assert ad.relu(Tensor([-1, 0, 2])).value.tolist() == [0.0, 0.0, 2.0]
 
     def test_dot(self):
-        assert T.dot(Tensor([1, 2]), Tensor([3, 4])) == 11.0
+        assert ad.dot(Tensor([1, 2]), Tensor([3, 4])).value.item() == 11.0
 
     def test_upsample_nearest_block_repeats(self):
-        out = T.upsample_nearest(Tensor([[1, 2], [3, 4]]), 2)
+        out = ad.upsample_nearest(Tensor([[[1, 2], [3, 4]]]), 2)
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
-        assert out.tolist() == expected
+        assert out.array[0].tolist() == expected
 
     def test_add_mul_shape_errors(self):
         with pytest.raises(ShapeError):
-            T.add(Tensor([1, 2]), Tensor([1, 2, 3]))
+            ad.add(Tensor([1, 2]), Tensor([1, 2, 3]))
         with pytest.raises(ShapeError):
-            T.mul(Tensor([[1]]), Tensor([1]))
+            ad.mul(Tensor([[1]]), Tensor([1]))
 
     def test_sum_scale(self):
-        assert T.tensor_sum(Tensor([[1, 2], [3, 4]])) == 10.0
-        assert T.scale(Tensor([1, 2]), -2).tolist() == [-2.0, -4.0]
+        assert ad.sum_all(Tensor([[1, 2], [3, 4]])).value.item() == 10.0
+        assert ad.scale(Tensor([1, 2]), -2).value.tolist() == [-2.0, -4.0]
 
     def test_sigmoid_extremes_stay_finite(self):
-        out = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
-        assert np.all(np.isfinite(out.array))
-        assert out.array[1] == 0.5
+        out = ad.sigmoid(Tensor([-1000.0, 0.0, 1000.0])).array
+        assert np.all(np.isfinite(out))
+        assert out[1] == 0.5
 
 
 class TestDumpFormat:
@@ -200,4 +245,13 @@ class TestDumpFormat:
         T.dump_tensor(t, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
+            T.load_tensor(path)
+
+    def test_non_finite_value_rejected_with_path(self, tmp_path):
+        path = tmp_path / "t.bin"
+        T.dump_tensor(Tensor([1.0, 2.0, 3.0]), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataCorruptionError, match="t.bin"):
             T.load_tensor(path)

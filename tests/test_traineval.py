@@ -5,6 +5,7 @@ import pytest
 
 from filtershare import autodiff as ad
 from filtershare import data, nets, traineval as te
+from filtershare import sharedconv as sc
 from filtershare.errors import ConfigError, ContractError, ShapeError, TrainingAbort
 from filtershare.regularizers import RegularizerConfig
 from filtershare.tensor import Tensor
@@ -117,10 +118,26 @@ class TestOptimizers:
 
     def test_unit_norm_projection_after_step(self):
         seeds = ad.Parameter("layer.seeds", [[3.0, 4.0]])
-        te.optimizer_step(te.SGD(0.1), [seeds],
-                          RegularizerConfig(unit_norm_seeds=True), [seeds])
+        alpha = ad.Parameter("layer.alpha", [[[1.0]]])
+        te.optimizer_step(te.SGD(0.1), [seeds, alpha],
+                          RegularizerConfig(unit_norm_seeds=True),
+                          [(seeds, alpha)])
         norm = np.linalg.norm(seeds.value.array)
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_unit_norm_projection_keeps_expanded_filters(self, rng):
+        seeds = ad.Parameter("layer.seeds", rng.normal(size=(4, 3, 3)) * 0.2)
+        alpha = ad.Parameter("layer.alpha", rng.normal(size=(5, 2, 4)))
+        before = sc.expand_filters(seeds, alpha).array
+        # zero gradients: the optimizer leaves both parameters as they are
+        te.optimizer_step(te.SGD(0.1), [seeds, alpha],
+                          RegularizerConfig(unit_norm_seeds=True),
+                          [(seeds, alpha)])
+        flat = seeds.value.array.reshape(4, -1)
+        np.testing.assert_allclose(np.linalg.norm(flat, axis=1), 1.0,
+                                   rtol=1e-12)
+        after = sc.expand_filters(seeds, alpha).array
+        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
 
 def separable_points(n, seed):
@@ -278,6 +295,23 @@ class TestCheckpoints:
         kept = sorted(p.name for p in tmp_path.iterdir()
                       if p.name.startswith("epoch_"))
         assert kept == ["epoch_0003", "epoch_0004"]
+
+    def test_save_replaces_existing_checkpoint(self, tmp_path):
+        net = linear_net(seed=0)
+        te.save_checkpoint(tmp_path / "epoch_0000", net, te.SGD(0.1), epoch=0)
+        net.params["layer0.bias"].assign(Tensor([5.0, -5.0]))
+        te.save_checkpoint(tmp_path / "epoch_0000", net, te.SGD(0.1), epoch=1)
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch_0000"]
+        net2, _, epoch = te.load_checkpoint(tmp_path / "epoch_0000")
+        assert epoch == 1
+        assert net2.params["layer0.bias"].value.tolist() == [5.0, -5.0]
+
+    def test_interrupted_save_leftovers_are_not_checkpoints(self, tmp_path):
+        net = linear_net(seed=0)
+        te.save_checkpoint(tmp_path / "epoch_0000", net, te.SGD(0.1), epoch=0)
+        (tmp_path / "epoch_0001.tmp").mkdir()
+        (tmp_path / "epoch_0001.old").mkdir()
+        assert te.latest_checkpoint(tmp_path) == tmp_path / "epoch_0000"
 
 
 class TestMetricsCsv:
