@@ -4,7 +4,9 @@ Define-by-run: ops executed inside ``recording(tape)`` append one entry per
 primitive, in execution (hence topological) order; ``backward`` walks the tape
 once in reverse. Loss gradients therefore flow into whatever Parameters the
 program touched - seed filter banks, mixing coefficients, biases - with no
-hand-derived layer gradients.
+hand-derived layer gradients. A network layer is one primitive: ``conv_stack``
+zero-pads, convolves and adds the bias, and ``upsample_concat`` joins a U-Net
+skip.
 
 Parameters accumulate gradients across backward calls until ``zero_grads``;
 intermediate adjoints are transient per backward pass. A tape must stay on
@@ -29,9 +31,8 @@ __all__ = [
     "Var", "Parameter", "Tape", "recording", "custom_op", "as_var",
     "forward", "backward", "zero_grads", "grad_check", "GradCheckReport",
     "add", "sub", "mul", "scale", "relu", "sigmoid", "sum_all", "dot",
-    "conv_stack", "pad_spatial", "channel_bias", "max_pool",
-    "upsample_nearest", "concat_channels", "global_avg_pool", "affine",
-    "apply_mask", "mix_filters", "squeeze_leading",
+    "conv_stack", "max_pool", "upsample_concat", "global_avg_pool",
+    "affine", "apply_mask", "mix_filters", "squeeze_leading",
     "set_fault_injection",
 ]
 
@@ -288,54 +289,38 @@ def dot(a, b) -> Var:
     )
 
 
-def conv_stack(x, f) -> Var:
-    """Channel-stacked valid cross-correlation: (N,*sp) x (M,N,*k) -> (M,*osp).
+def conv_stack(x, f, b, widths) -> Var:
+    """One conv layer: zero-pad x (N, *sp) by widths[d] on both sides of
+    spatial axis d, cross-correlate with the (M, N, *k) filters and add the
+    (M,) bias -> (M, *osp).
 
     The forward im2col buffer is kept on the tape and reused by the filter
-    gradient, so backward costs one extra im2col (for the input gradient)
-    plus two matrix products.
+    gradient; the input gradient is that of the unpadded x, so backward costs
+    one extra im2col plus two matrix products.
     """
-    x, f = as_var(x), as_var(f)
-    cols, out_sp = _op("conv_stack", kernels.stack_cols, x.array, f.array.shape[2:])
-    out = _op("conv_stack", kernels.conv_stack, x.array, f.array, cols, out_sp)
+    x, f, b = as_var(x), as_var(f), as_var(b)
     fa = f.array
+    widths = tuple(int(w) for w in widths)
+    if len(widths) != x.array.ndim - 1 or not all(
+            0 <= w < e for w, e in zip(widths, fa.shape[2:])):
+        raise ShapeError(f"conv_stack: pad widths {widths} do not fit a "
+                         f"{fa.shape[2:]} kernel on a {x.array.shape} input")
+    if b.array.shape != fa.shape[:1]:
+        raise ShapeError(
+            f"conv_stack: bias shaped {b.array.shape} for {fa.shape[0]} filters"
+        )
+    xp = kernels.pad_stack(x.array, widths)
+    cols, out_sp = _op("conv_stack", kernels.stack_cols, xp, fa.shape[2:])
+    out = _op("conv_stack", kernels.conv_stack, xp, fa, cols, out_sp)
+    out += b.array[(slice(None),) + (None,) * len(widths)]
+    spatial_axes = tuple(range(1, out.ndim))
 
     def vjp(g):
-        return (kernels.conv_stack_grad_input(g, fa),
-                kernels.conv_stack_grad_filters(g, cols, fa.shape))
+        return (kernels.conv_stack_grad_input(g, fa, widths),
+                kernels.conv_stack_grad_filters(g, cols, fa.shape),
+                g.sum(axis=spatial_axes))
 
-    return custom_op(Tensor._wrap(out), (x, f), vjp)
-
-
-def pad_spatial(x, widths) -> Var:
-    """Zero-pad the spatial axes of a (C, *sp) stack."""
-    x = as_var(x)
-    widths = [int(w) for w in widths]
-    if len(widths) != x.array.ndim - 1:
-        raise ShapeError(
-            f"pad_spatial: {len(widths)} widths for {x.array.ndim - 1} spatial axes"
-        )
-    out = kernels.pad_stack(x.array, widths)
-    return custom_op(Tensor._wrap(out), (x,),
-                     lambda g: (kernels.crop_stack(g, widths),))
-
-
-def channel_bias(x, b) -> Var:
-    """Add one scalar bias per leading-axis channel of a (C, *sp) stack."""
-    x, b = as_var(x), as_var(b)
-    if b.array.ndim != 1 or b.array.shape[0] != x.array.shape[0]:
-        raise ShapeError(
-            f"channel_bias: bias length {b.array.shape} does not match "
-            f"{x.array.shape[0]} channels"
-        )
-    expand = (slice(None),) + (None,) * (x.array.ndim - 1)
-    out = x.array + b.array[expand]
-    spatial_axes = tuple(range(1, x.array.ndim))
-
-    def vjp(g):
-        return (g, g.sum(axis=spatial_axes) if spatial_axes else g.copy())
-
-    return custom_op(Tensor._wrap(out), (x, b), vjp)
+    return custom_op(Tensor._wrap(out), (x, f, b), vjp)
 
 
 def max_pool(x, window) -> Var:
@@ -353,26 +338,21 @@ def max_pool(x, window) -> Var:
     )
 
 
-def upsample_nearest(x, factor: int) -> Var:
-    """Nearest-neighbor upsampling of the spatial axes of a (C, *sp) stack."""
-    x = as_var(x)
+def upsample_concat(x, skip, factor: int) -> Var:
+    """U-Net skip join: nearest-neighbor upsample the spatial axes of x
+    (C, *sp) by factor, then stack the skip's channels after it."""
+    x, skip = as_var(x), as_var(skip)
     factor = int(factor)
-    out = kernels.upsample_stack(x.array, factor)
-    return custom_op(Tensor._wrap(out), (x,),
-                     lambda g: (kernels.upsample_stack_vjp(g, factor),))
-
-
-def concat_channels(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    if a.array.shape[1:] != b.array.shape[1:]:
+    up = kernels.upsample_stack(x.array, factor)
+    if up.shape[1:] != skip.array.shape[1:]:
         raise ShapeError(
-            f"concat_channels: spatial shapes differ, {a.array.shape[1:]} vs "
-            f"{b.array.shape[1:]}"
+            f"upsample_concat: upsampled spatial shape {up.shape[1:]} differs "
+            f"from the skip's {skip.array.shape[1:]}"
         )
-    ca = a.array.shape[0]
-    out = np.concatenate([a.array, b.array], axis=0)
-    return custom_op(Tensor._wrap(out), (a, b),
-                     lambda g: (g[:ca].copy(), g[ca:].copy()))
+    c = up.shape[0]
+    out = np.concatenate([up, skip.array], axis=0)
+    return custom_op(Tensor._wrap(out), (x, skip),
+                     lambda g: (kernels.upsample_stack_vjp(g[:c], factor), g[c:]))
 
 
 def global_avg_pool(x) -> Var:

@@ -5,8 +5,10 @@ finds the optimal rank-P bank + coefficients by truncated SVD (Eckart-Young:
 no rank-P factorization has lower Frobenius reconstruction error), and
 `compare_posthoc_vs_direct` measures how substituting that reconstruction -
 with no retraining - stacks up against a network whose bank was trained
-directly. The SVD itself is an in-repo one-sided Jacobi iteration so the
-numeric core has no linear-algebra dependency.
+directly. The SVD itself is an in-repo one-sided Jacobi iteration
+(`jacobi_svd`); besides the factorization, it is the independent reference
+that acceptance criterion 9 checks the nuclear-norm penalty's
+`np.linalg.svd` against.
 """
 
 from __future__ import annotations

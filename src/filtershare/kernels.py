@@ -1,9 +1,11 @@
 """Raw float64 array kernels under the autodiff ops.
 
-The convolution is a cross-correlation (no kernel flip); learned filters
-absorb the flip and this matches common CNN practice. Arrays are "stacks"
-with a leading channel axis (channels, *spatial). Every function is pure and
-deterministic.
+Arrays are "stacks" with a leading channel axis (channels, *spatial). The one
+convolution is a channel-stacked cross-correlation (no kernel flip; learned
+filters absorb it), computed as im2col (`stack_cols`) plus one GEMM. The
+caller zero-pads the input with `pad_stack`, and `conv_stack_grad_input`
+takes the same widths and returns the gradient of the unpadded input. Every
+function is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ def conv_stack_grad_filters(g, cols, f_shape):
     return (g.reshape(m, -1) @ cols.T).reshape(f_shape)
 
 
-def conv_stack_grad_input(g, f):
-    """Gradient w.r.t. the (N, *sp) input stack: full correlation of the
-    padded output gradient with the spatially flipped filters."""
+def conv_stack_grad_input(g, f, widths):
+    """Gradient w.r.t. the (N, *sp) input stack that was zero-padded by
+    widths[d] before the forward correlation: full correlation of the output
+    gradient, padded by k - 1 - widths[d], with the spatially flipped
+    filters."""
     d = g.ndim - 1
     k_spatial = f.shape[2:]
-    gp = np.pad(g, [(0, 0)] + [(e - 1, e - 1) for e in k_spatial])
+    gp = pad_stack(g, [e - 1 - w for e, w in zip(k_spatial, widths)])
     cols, in_sp = stack_cols(gp, k_spatial)
     ff = np.flip(f, axis=tuple(range(2, d + 2)))
     # reorder to (N, M, *k) so rows of the matrix match cols' (M, *k) order
@@ -90,15 +94,11 @@ def conv_stack_grad_input(g, f):
 
 
 def pad_stack(x, widths):
-    """Zero-pad the spatial axes of a stack by widths[d] on both sides."""
+    """Zero-pad the spatial axes of a stack by widths[d] on both sides; x
+    itself when every width is 0."""
+    if not any(widths):
+        return x
     return np.pad(x, [(0, 0)] + [(w, w) for w in widths])
-
-
-def crop_stack(g, widths):
-    slices = (slice(None),) + tuple(
-        slice(w, s - w) for w, s in zip(widths, g.shape[1:])
-    )
-    return g[slices]
 
 
 # ---------------------------------------------------------------------------

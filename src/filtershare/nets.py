@@ -467,8 +467,7 @@ class Network:
             elif isinstance(layer, Pool):
                 v = ad.max_pool(v, layer.window)
             elif isinstance(layer, UpsampleConcat):
-                v = ad.concat_channels(ad.upsample_nearest(v, layer.factor),
-                                       saved[layer.skip])
+                v = ad.upsample_concat(v, saved[layer.skip], layer.factor)
             elif isinstance(layer, GlobalAvgPool):
                 v = ad.global_avg_pool(v)
             elif isinstance(layer, Dense):

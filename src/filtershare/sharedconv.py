@@ -140,7 +140,6 @@ def layer_forward(spec: ConvLayerSpec, filters, bias, inputs) -> ad.Var:
     """
     x = ad.as_var(inputs)
     f = ad.as_var(filters)
-    b = ad.as_var(bias)
     if x.array.ndim != spec.spatial_dims + 1:
         raise ShapeError(
             f"layer_forward: input stack must have {spec.spatial_dims} spatial "
@@ -156,15 +155,9 @@ def layer_forward(spec: ConvLayerSpec, filters, bias, inputs) -> ad.Var:
         raise ShapeError(
             f"layer_forward: filters shaped {f.array.shape}, expected {expect_f}"
         )
-    if tuple(b.array.shape) != (spec.out_channels,):
-        raise ShapeError(
-            f"layer_forward: bias shaped {b.array.shape}, expected "
-            f"({spec.out_channels},)"
-        )
-    if spec.padding == SAME:
-        x = ad.pad_spatial(x, [(e - 1) // 2 for e in spec.kernel_extents])
-    y = ad.conv_stack(x, f)
-    return ad.channel_bias(y, b)
+    same = spec.padding == SAME
+    return ad.conv_stack(
+        x, f, bias, [(e - 1) // 2 if same else 0 for e in spec.kernel_extents])
 
 
 def shared_layer_forward(spec: ConvLayerSpec, bank, alpha, bias, inputs) -> ad.Var:

@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .data import child_rng
-from .errors import ConfigError, ContractError, ShapeError, TrainingAbort
+from .errors import (ConfigError, ContractError, FormatError, NumericError,
+                     ShapeError, TrainingAbort)
 from .regularizers import RegularizerConfig, penalty_term, project_unit_norm_array
 from .tensor import Tensor, dump_tensor, load_tensor
 
@@ -289,7 +290,8 @@ class TrainConfig:
 
 
 def evaluate(net: nets.Network, dataset) -> tuple[float, float]:
-    """Mean loss and mean metric over a dataset; pure (dropout disabled)."""
+    """Mean loss and mean metric over a dataset; pure (dropout disabled).
+    Raises NumericError when the loss is not finite."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
@@ -301,6 +303,8 @@ def evaluate(net: nets.Network, dataset) -> tuple[float, float]:
         loss_sum += float(loss.array[0])
         metric_sum += metric
     n = len(dataset)
+    if not np.isfinite(loss_sum):
+        raise NumericError(f"evaluation loss is {loss_sum} over {n} samples")
     return loss_sum / n, metric_sum / n
 
 
@@ -426,24 +430,49 @@ def save_checkpoint(directory, net: nets.Network, optimizer, epoch: int) -> None
 
 
 def load_checkpoint(directory) -> tuple[nets.Network, object, int]:
+    """Load a save_checkpoint directory. Raises FormatError naming the file
+    when the manifest is malformed or of another format, or when a parameter
+    or Adam state file is missing or shaped unlike ``Network.initialize``
+    of the manifest's net spec."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    spec = nets.NetSpec.from_json(manifest["net"])
-    params = {}
-    for key in manifest["params"]:
-        params[key] = ad.Parameter(key, load_tensor(directory / f"{key}.bin"))
-    net = nets.Network(spec, params)
-    opt_info = manifest["optimizer"]
-    optimizer = make_optimizer(opt_info["kind"], opt_info["learning_rate"])
-    optimizer.load_state(opt_info, net.parameters())
+    manifest_path = directory / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        if manifest["format"] != 1:
+            raise ValueError(f"format {manifest['format']!r}, expected 1")
+        spec = nets.NetSpec.from_json(manifest["net"])
+        shapes = {k: p.value.shape
+                  for k, p in nets.Network.initialize(spec).params.items()}
+        if sorted(manifest["params"]) != sorted(shapes):
+            raise ValueError(f"parameters {manifest['params']} do not match "
+                             f"the net spec's {sorted(shapes)}")
+        opt_info = manifest["optimizer"]
+        optimizer = make_optimizer(opt_info["kind"], opt_info["learning_rate"])
+        optimizer.load_state(opt_info, ())
+        epoch = int(manifest["epoch"])
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError too
+        raise FormatError(f"{manifest_path}: {type(e).__name__}: {e}") from None
+    net = nets.Network(spec, {
+        key: ad.Parameter(key, _load_shaped(directory / f"{key}.bin", shape))
+        for key, shape in shapes.items()})
     if isinstance(optimizer, Adam):
-        for key in manifest["params"]:
+        for key, shape in shapes.items():
             m_path = directory / f"{key}.adam_m.bin"
-            if m_path.exists():
-                optimizer.m[key] = load_tensor(m_path).array.copy()
-                optimizer.v[key] = load_tensor(
-                    directory / f"{key}.adam_v.bin").array.copy()
-    return net, optimizer, int(manifest["epoch"])
+            v_path = directory / f"{key}.adam_v.bin"
+            if m_path.exists() or v_path.exists():
+                optimizer.m[key] = _load_shaped(m_path, shape).array.copy()
+                optimizer.v[key] = _load_shaped(v_path, shape).array.copy()
+    return net, optimizer, epoch
+
+
+def _load_shaped(path, shape) -> Tensor:
+    if not path.is_file():
+        raise FormatError(f"{path}: missing from the checkpoint")
+    t = load_tensor(path)
+    if tuple(t.shape) != tuple(shape):
+        raise FormatError(
+            f"{path}: shape {tuple(t.shape)}, expected {tuple(shape)}")
+    return t
 
 
 def _epoch_dirs(directory) -> list[Path]:

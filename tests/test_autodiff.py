@@ -26,6 +26,10 @@ def fd_directional(f, params, delta, h=1e-5):
 def test_every_exported_name_resolves():
     missing = [name for name in ad.__all__ if not hasattr(ad, name)]
     assert missing == []
+    # a conv layer and a U-Net skip join are one op each
+    for gone in ("pad_spatial", "channel_bias", "upsample_nearest",
+                 "concat_channels"):
+        assert not hasattr(ad, gone)
 
 
 class TestForward:
@@ -182,9 +186,9 @@ class TestPrimitiveDotProducts:
             "mat": Tensor(rng.normal(size=(3, 4))),
             "convout": Tensor(rng.normal(size=(3, 4, 4))),
             "pool": Tensor(rng.normal(size=(2, 3, 3))),
-            "pad": Tensor(rng.normal(size=(2, 8, 8))),
-            "up": Tensor(rng.normal(size=(2, 12, 12))),
-            "cat": Tensor(rng.normal(size=(4, 6, 6))),
+            "pad": Tensor(rng.normal(size=(3, 6, 6))),
+            "up": Tensor(rng.normal(size=(3, 12, 12))),
+            "cat": Tensor(rng.normal(size=(3, 6, 6))),
             "gap": Tensor(rng.normal(size=2)),
             "aff": Tensor(rng.normal(size=4)),
             "map": Tensor(rng.normal(size=(1, 4, 4))),
@@ -192,6 +196,9 @@ class TestPrimitiveDotProducts:
             "mix": Tensor(rng.normal(size=(3, 2, 3, 3))),
         }
         mask = (rng.random((3, 4)) > 0.4) / 0.6
+        zero1, zero3 = Tensor(np.zeros(1)), Tensor(np.zeros(3))
+        low = Tensor(rng.normal(size=(1, 3, 3)))
+        high = Tensor(rng.normal(size=(1, 12, 12)))
 
         def tie(out, key):
             return ad.sum_all(ad.mul(out, probe[key]))
@@ -206,19 +213,21 @@ class TestPrimitiveDotProducts:
             "dot": (lambda: ad.dot(vec1, vec2), [vec1, vec2]),
             "sum_all": (lambda: ad.sum_all(a), [a]),
             # valid convolution of one map by one kernel
-            "conv_valid": (lambda: tie(ad.conv_stack(xmap, kmap), "map"),
-                           [xmap, kmap]),
-            "conv_stack": (lambda: tie(ad.conv_stack(img, filt), "convout"),
-                           [img, filt]),
-            "pad_spatial": (lambda: tie(ad.pad_spatial(img, (1, 1)), "pad"),
-                            [img]),
-            "channel_bias": (lambda: tie(ad.channel_bias(
-                ad.conv_stack(img, filt), bias3), "convout"), [img, filt, bias3]),
+            "conv_valid": (lambda: tie(ad.conv_stack(xmap, kmap, zero1, (0, 0)),
+                                       "map"), [xmap, kmap]),
+            "conv_stack": (lambda: tie(ad.conv_stack(img, filt, zero3, (0, 0)),
+                                       "convout"), [img, filt]),
+            # SAME padding inside the conv op
+            "pad_spatial": (lambda: tie(ad.conv_stack(img, filt, zero3, (1, 1)),
+                                        "pad"), [img, filt]),
+            "channel_bias": (lambda: tie(ad.conv_stack(img, filt, bias3, (0, 0)),
+                                         "convout"), [img, filt, bias3]),
             "max_pool": (lambda: tie(ad.max_pool(img, 2), "pool"), [img]),
-            "upsample_nearest": (lambda: tie(ad.upsample_nearest(img, 2), "up"),
-                                 [img]),
-            "concat_channels": (lambda: tie(ad.concat_channels(img, img), "cat"),
-                                [img]),
+            # upsample_concat, one id per route: the upsampled x, the skip
+            "upsample_nearest": (lambda: tie(ad.upsample_concat(img, high, 2),
+                                             "up"), [img]),
+            "concat_channels": (lambda: tie(ad.upsample_concat(low, img, 2),
+                                            "cat"), [img]),
             "global_avg_pool": (lambda: tie(ad.global_avg_pool(img), "gap"),
                                 [img]),
             "affine": (lambda: tie(ad.affine(w, vec1, bw), "aff"),

@@ -8,6 +8,7 @@ import pytest
 
 from filtershare import cli, config as cfgmod
 from filtershare.errors import ConfigError
+from filtershare.tensor import Tensor, dump_tensor, load_tensor
 
 
 def run(args):
@@ -149,6 +150,72 @@ def train_args(out, epochs=1, count=8, extent=8):
             "--set", "train.record_seconds=false"]
 
 
+def eval_args(out):
+    """eval of train_args' latest checkpoint under out, into out/eval_out."""
+    return ["eval", "--output-dir", str(out / "eval_out"),
+            "--set", "task=synth3d",
+            "--set", "data.count=8",
+            "--set", "arch.levels=2",
+            "--set", "arch.base_channels=2",
+            "--set", "arch.input_extent=8",
+            "--set", f"resume={out / 'checkpoints'}"]
+
+
+def _edit_manifest(ckpt, edit):
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _truncate(ckpt):
+    path = ckpt / "layer0.seeds.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    return path
+
+
+def _wrong_shape(ckpt):
+    """P=2 seeds in a P=3 layer."""
+    path = ckpt / "layer1.seeds.bin"
+    dump_tensor(Tensor(load_tensor(path).array[:2]), path)
+    return path
+
+
+def _missing_file(ckpt):
+    path = ckpt / "layer0.bias.bin"
+    path.unlink()
+    return path
+
+
+def _bad_json(ckpt):
+    path = ckpt / "manifest.json"
+    path.write_text(path.read_text()[:-20])
+    return path
+
+
+def _missing_key(ckpt):
+    return _edit_manifest(ckpt, lambda m: m.pop("net"))
+
+
+def _wrong_format(ckpt):
+    return _edit_manifest(ckpt, lambda m: m.update(format=2))
+
+
+def _adam_m_without_v(ckpt):
+    path = ckpt / "layer0.seeds.adam_v.bin"
+    path.unlink()
+    return path
+
+
+CORRUPTIONS = {
+    "truncated": _truncate, "wrong_shape": _wrong_shape,
+    "missing_file": _missing_file, "bad_json": _bad_json,
+    "missing_key": _missing_key, "wrong_format": _wrong_format,
+    "adam_m_without_v": _adam_m_without_v,
+}
+
+
 class TestTrainEvalCommands:
     def test_train_writes_metrics_checkpoints_config(self, tmp_path):
         assert run(train_args(tmp_path, epochs=2)) == 0
@@ -169,16 +236,8 @@ class TestTrainEvalCommands:
 
     def test_eval_command(self, tmp_path):
         assert run(train_args(tmp_path, epochs=1)) == 0
-        out2 = tmp_path / "eval_out"
-        args = ["eval", "--output-dir", str(out2),
-                "--set", "task=synth3d",
-                "--set", "data.count=8",
-                "--set", "arch.levels=2",
-                "--set", "arch.base_channels=2",
-                "--set", "arch.input_extent=8",
-                "--set", f"resume={tmp_path / 'checkpoints'}"]
-        assert run(args) == 0
-        rows = read_csv(out2 / "eval.csv")
+        assert run(eval_args(tmp_path)) == 0
+        rows = read_csv(tmp_path / "eval_out" / "eval.csv")
         assert rows[1][1] == "test"
 
     def test_eval_rejects_nan_in_checkpoint(self, tmp_path, capsys):
@@ -188,15 +247,27 @@ class TestTrainEvalCommands:
         raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
         bad.write_bytes(bytes(raw))
         capsys.readouterr()
-        args = ["eval", "--output-dir", str(tmp_path / "eval_out"),
-                "--set", "task=synth3d",
-                "--set", "data.count=8",
-                "--set", "arch.levels=2",
-                "--set", "arch.base_channels=2",
-                "--set", "arch.input_extent=8",
-                "--set", f"resume={tmp_path / 'checkpoints'}"]
-        assert run(args) == cli.EXIT_USAGE
+        assert run(eval_args(tmp_path)) == cli.EXIT_USAGE
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    def test_eval_rejects_bad_checkpoint(self, tmp_path, capsys, corrupt):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        bad = CORRUPTIONS[corrupt](tmp_path / "checkpoints" / "epoch_0000")
+        capsys.readouterr()
+        assert run(eval_args(tmp_path)) == cli.EXIT_USAGE
+        assert str(bad) in capsys.readouterr().err
+
+    def test_eval_non_finite_loss_is_exit_1(self, tmp_path, capsys):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        ckpt = tmp_path / "checkpoints" / "epoch_0000"
+        for key in ("layer0.seeds", "layer1.seeds"):
+            path = ckpt / f"{key}.bin"
+            dump_tensor(Tensor(load_tensor(path).array * 1e300), path)
+        capsys.readouterr()
+        assert run(eval_args(tmp_path)) == cli.EXIT_CHECK_FAILED
+        assert "evaluation loss is nan" in capsys.readouterr().err
+        assert not (tmp_path / "eval_out" / "eval.csv").exists()
 
     def test_cifar_task_without_root_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.DATA_ROOT_ENV, raising=False)

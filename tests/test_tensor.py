@@ -111,6 +111,33 @@ def same_reference(x, f, b):
     return out + b[(slice(None),) + (None,) * len(sp)]
 
 
+def same_input_grad(x, f, b, g):
+    """Input gradient of sharedconv.layer_forward (SAME) under output seed g."""
+    spec = sc.ConvLayerSpec(f.shape[1], f.shape[0], f.shape[2:],
+                            padding=sc.SAME)
+    xp = ad.Parameter("x", x)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        sc.layer_forward(spec, Tensor(f), Tensor(b), xp)
+    ad.backward(tape, Tensor(g))
+    return xp.grad
+
+
+def same_reference_grad(x, f, g):
+    """Gradient of sum(g * out) w.r.t. the explicitly zero-padded x (each
+    kernel offset u scatters f[:, :, u]^T g into its shifted slice), with
+    the pad cropped off."""
+    half = [(e - 1) // 2 for e in f.shape[2:]]
+    sp = x.shape[1:]
+    gxp = np.zeros((x.shape[0],) + tuple(s + 2 * h for s, h in zip(sp, half)))
+    for u in np.ndindex(*f.shape[2:]):
+        window = (slice(None),) + tuple(slice(o, o + s) for o, s in zip(u, sp))
+        gxp[window] += np.tensordot(f[(slice(None), slice(None)) + u], g,
+                                    axes=([0], [0]))
+    return gxp[(slice(None),) + tuple(slice(h, h + s)
+                                      for h, s in zip(half, sp))]
+
+
 class TestConvSame:
     def test_centered_identity(self):
         out = same_forward([[1, 2, 3]], [[[0, 1, 0]]])
@@ -131,6 +158,10 @@ class TestConvSame:
             np.testing.assert_allclose(same_forward(x, f, b),
                                        same_reference(x, f, b),
                                        rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=(3, 5, 5))
+            np.testing.assert_allclose(same_input_grad(x, f, b, g),
+                                       same_reference_grad(x, f, g),
+                                       rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 1), st.integers(0, 2023))
@@ -143,6 +174,10 @@ class TestConvSame:
         b = gen.normal(size=2)
         np.testing.assert_allclose(same_forward(x, f, b),
                                    same_reference(x, f, b),
+                                   rtol=1e-12, atol=1e-12)
+        g = gen.normal(size=(2,) + shape[1:])
+        np.testing.assert_allclose(same_input_grad(x, f, b, g),
+                                   same_reference_grad(x, f, g),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -200,9 +235,11 @@ class TestElementwise:
         assert ad.dot(Tensor([1, 2]), Tensor([3, 4])).value.item() == 11.0
 
     def test_upsample_nearest_block_repeats(self):
-        out = ad.upsample_nearest(Tensor([[[1, 2], [3, 4]]]), 2)
+        skip = np.full((1, 4, 4), 9.0)
+        out = ad.upsample_concat(Tensor([[[1, 2], [3, 4]]]), Tensor(skip), 2)
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert out.array[0].tolist() == expected
+        assert np.array_equal(out.array[1:], skip)
 
     def test_add_mul_shape_errors(self):
         with pytest.raises(ShapeError):
