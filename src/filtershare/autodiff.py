@@ -17,7 +17,6 @@ as their backward calls are serialized.
 from __future__ import annotations
 
 import contextlib
-import csv
 import threading
 from dataclasses import dataclass, field
 
@@ -457,14 +456,6 @@ class GradCheckReport:
             err = 0.0 if r.kinked else r.rel_err
             worst[r.param_id] = max(worst.get(r.param_id, 0.0), err)
         return worst
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param_id", "coord", "analytic", "numeric", "rel_err"])
-            for r in self.rows:
-                w.writerow([r.param_id, r.coord, f"{r.analytic:.17g}",
-                            f"{r.numeric:.17g}", f"{r.rel_err:.6e}"])
 
 
 def _eval_scalar(program, inputs) -> float:

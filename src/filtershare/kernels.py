@@ -6,14 +6,42 @@ filters absorb it), computed as im2col (`stack_cols`) plus one GEMM. The
 caller zero-pads the input with `pad_stack`, and `conv_stack_grad_input`
 takes the same widths and returns the gradient of the unpadded input. Every
 function is pure and deterministic.
+
+On import this module sets a process-wide glibc allocator policy through
+`mallopt`: blocks below 1 GiB come from the heap rather than their own `mmap`
+(`M_MMAP_THRESHOLD`), and freed memory goes back to the kernel only when more
+than 2 GiB of it sits at the top of the heap (`M_TRIM_THRESHOLD`). A 40^3
+U-Net training sample builds about 1.2 GB of im2col matrices, up to 316 MB
+each. With glibc's defaults each is a fresh `mmap` whose pages the kernel
+faults in and zeroes again, about a fifth of a training sample and more of an
+inference pass; with the policy, later buffers reuse the pages of freed ones.
+The cost is that the resident set stays at the run's high-water mark until
+exit. Where libc has no `mallopt` (not glibc), the call is skipped.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
+
+_M_TRIM_THRESHOLD = -1  # parameter numbers from <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks_mapped():
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 1 << 30)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)  # the largest value of its int
+
+
+_keep_freed_blocks_mapped()
 
 
 def require_kernel_fits(in_spatial, k_spatial, what="kernel"):

@@ -173,10 +173,6 @@ class ShapeTrace:
     def total_bias(self) -> int:
         return sum(r.bias for r in self.rows)
 
-    @property
-    def total_params(self) -> int:
-        return self.total_weights + self.total_bias
-
 
 def validate(spec: NetSpec, input_shape=None) -> ShapeTrace:
     """Propagate shapes through every layer; raise ShapeError (naming the
@@ -420,9 +416,6 @@ class Network:
     def conv_layer_indices(self) -> list[int]:
         return [i for i, layer in enumerate(self.spec.layers)
                 if isinstance(layer, ConvBlock)]
-
-    def scalar_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
 
     def weight_count(self) -> int:
         return sum(p.value.size for k, p in self.params.items()

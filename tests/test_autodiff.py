@@ -268,12 +268,3 @@ class TestGradCheck:
                                coord_budget=10)
         assert 1 <= len(report.rows) <= 10
         assert report.passed
-
-    def test_csv_report_format(self, tmp_path):
-        w = ad.Parameter("w", [1.0, -2.0])
-        report = ad.grad_check(lambda: ad.sum_all(ad.mul(w, w)), [w])
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "param_id,coord,analytic,numeric,rel_err"
-        assert len(lines) == 3
