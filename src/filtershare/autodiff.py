@@ -293,9 +293,11 @@ def conv_stack(x, f, b, widths) -> Var:
     spatial axis d, cross-correlate with the (M, N, *k) filters and add the
     (M,) bias -> (M, *osp).
 
-    The forward im2col buffer is kept on the tape and reused by the filter
-    gradient; the input gradient is that of the unpadded x, so backward costs
-    one extra im2col plus two matrix products.
+    The forward (partial) im2col matrix is kept on the tape and reused by the
+    filter gradient; the input gradient is that of the unpadded x, so backward
+    costs one extra partial im2col plus two sets of k[0] matrix products. A
+    constant x (one that requires no gradient, like a network's input) gets
+    no input gradient at all.
     """
     x, f, b = as_var(x), as_var(f), as_var(b)
     fa = f.array
@@ -315,7 +317,9 @@ def conv_stack(x, f, b, widths) -> Var:
     spatial_axes = tuple(range(1, out.ndim))
 
     def vjp(g):
-        return (kernels.conv_stack_grad_input(g, fa, widths),
+        gx = (kernels.conv_stack_grad_input(g, fa, widths)
+              if x.requires_grad else None)
+        return (gx,
                 kernels.conv_stack_grad_filters(g, cols, fa.shape),
                 g.sum(axis=spatial_axes))
 
@@ -329,11 +333,11 @@ def max_pool(x, window) -> Var:
         window = (int(window),) * (x.array.ndim - 1)
     else:
         window = tuple(int(w) for w in window)
-    pooled, sources = _op("max_pool", kernels.max_pool_stack, x.array, window)
-    in_shape = x.array.shape
+    xa = x.array
+    pooled = _op("max_pool", kernels.max_pool_stack, xa, window)
     return custom_op(
-        Tensor._wrap(np.ascontiguousarray(pooled)), (x,),
-        lambda g: (kernels.max_pool_scatter(g, sources, in_shape),),
+        Tensor._wrap(pooled), (x,),
+        lambda g: (kernels.max_pool_scatter(g, xa, pooled, window),),
     )
 
 

@@ -2,16 +2,22 @@
 
 Arrays are "stacks" with a leading channel axis (channels, *spatial). The one
 convolution is a channel-stacked cross-correlation (no kernel flip; learned
-filters absorb it), computed as im2col (`stack_cols`) plus one GEMM. The
-caller zero-pads the input with `pad_stack`, and `conv_stack_grad_input`
-takes the same widths and returns the gradient of the unpadded input. Every
-function is pure and deterministic.
+filters absorb it), computed as a partial im2col (MEC: Cho & Brand, ICML
+2017). `stack_cols` unrolls only the kernel axes after the first (k[1]*k[2] in
+3D, k[1] in 2D, none in 1D), so its matrix holds prod(k[1:]) copies of the
+input rather than prod(k). Each offset u along the first kernel axis is a
+contiguous column window of that matrix, and the forward pass sums k[0] GEMMs
+`F_u @ window_u`; the filter gradient is k[0] GEMMs against the same windows.
+The caller zero-pads the input with `pad_stack`, and `conv_stack_grad_input`
+takes the same widths and returns the gradient of the unpadded input, by the
+same windowed sum over the padded output gradient with flipped, transposed
+filters. Every function is pure and deterministic.
 
 On import this module sets a process-wide glibc allocator policy through
 `mallopt`: blocks below 1 GiB come from the heap rather than their own `mmap`
 (`M_MMAP_THRESHOLD`), and freed memory goes back to the kernel only when more
 than 2 GiB of it sits at the top of the heap (`M_TRIM_THRESHOLD`). A 40^3
-U-Net training sample builds about 1.2 GB of im2col matrices, up to 316 MB
+U-Net training sample builds about 0.4 GB of im2col matrices, up to 111 MB
 each. With glibc's defaults each is a fresh `mmap` whose pages the kernel
 faults in and zeroes again, about a fifth of a training sample and more of an
 inference pass; with the policy, later buffers reuse the pages of freed ones.
@@ -61,25 +67,41 @@ def require_kernel_fits(in_spatial, k_spatial, what="kernel"):
 # channel-stacked convolution: x (N, *sp), filters (M, N, *k) -> (M, *out_sp)
 # ---------------------------------------------------------------------------
 
-def _spatial_axes(ndim_stack):
-    return tuple(range(1, ndim_stack))
-
-
 def stack_cols(x, k_spatial):
-    """im2col over the spatial axes of a (N, *sp) stack.
+    """Partial im2col of a (N, *sp) stack: unroll the kernel axes after the
+    first only.
 
-    Returns (cols, out_spatial): cols is a contiguous (N*S, prod(out_sp))
-    matrix whose rows follow (channel, *kernel) row-major order, so both the
-    forward pass and the filter gradient reduce to one dgemm each against it.
+    Returns (cols, out_spatial). cols is a contiguous (N*prod(k[1:]),
+    sp[0]*A) matrix with A = prod(out_sp[1:]); its rows follow (channel,
+    *k[1:]) row-major order and its columns (sp[0], *out_sp[1:]). Kernel
+    offset u on the first axis is the column window [u*A, u*A + out_sp[0]*A)
+    (`_window`), a strided view that BLAS takes without a copy.
     """
     require_kernel_fits(x.shape[1:], k_spatial)
-    win = sliding_window_view(x, k_spatial, axis=_spatial_axes(x.ndim))
     d = len(k_spatial)
-    out_sp = win.shape[1:1 + d]
-    perm = (0,) + tuple(range(1 + d, 1 + 2 * d)) + tuple(range(1, 1 + d))
+    win = sliding_window_view(x, k_spatial[1:], axis=tuple(range(2, 1 + d)))
+    out_sp = (x.shape[1] - k_spatial[0] + 1,) + win.shape[2:1 + d]
+    perm = (0,) + tuple(range(1 + d, 2 * d)) + tuple(range(1, 1 + d))
     cols = win.transpose(perm).reshape(
-        x.shape[0] * int(np.prod(k_spatial)), int(np.prod(out_sp)))
+        x.shape[0] * int(np.prod(k_spatial[1:])), -1)
     return np.ascontiguousarray(cols), out_sp
+
+
+def _window(cols, u, out_spatial):
+    a = int(np.prod(out_spatial[1:]))
+    return cols[:, u * a:(u + out_spatial[0]) * a]
+
+
+def _window_sum(f, cols, out_spatial):
+    """sum_u F_u @ window_u of `stack_cols`' matrix, where F_u is the
+    (M, N*prod(k[1:])) slice of the (M, N, *k) filters at first-axis kernel
+    offset u -> (M, *out_spatial)."""
+    fu = np.ascontiguousarray(np.moveaxis(f, 2, 0)).reshape(
+        f.shape[2], f.shape[0], -1)
+    out = fu[0] @ _window(cols, 0, out_spatial)
+    for u in range(1, len(fu)):
+        out += fu[u] @ _window(cols, u, out_spatial)
+    return out.reshape((f.shape[0],) + tuple(out_spatial))
 
 
 def conv_stack(x, f, cols=None, out_spatial=None):
@@ -94,31 +116,33 @@ def conv_stack(x, f, cols=None, out_spatial=None):
         )
     if cols is None:
         cols, out_spatial = stack_cols(x, f.shape[2:])
-    m = f.shape[0]
-    out = f.reshape(m, -1) @ cols
-    return out.reshape((m,) + tuple(out_spatial))
+    return _window_sum(f, cols, out_spatial)
 
 
 def conv_stack_grad_filters(g, cols, f_shape):
-    """Gradient w.r.t. the (M, N, *k) filter stack given the forward cols."""
-    m = g.shape[0]
-    return (g.reshape(m, -1) @ cols.T).reshape(f_shape)
+    """Gradient w.r.t. the (M, N, *k) filter stack given the forward cols:
+    one GEMM per first-axis kernel offset."""
+    m, k0 = f_shape[0], f_shape[2]
+    gm = g.reshape(m, -1)
+    out_sp = g.shape[1:]
+    gf = np.empty((k0, m, cols.shape[0]))
+    for u in range(k0):
+        np.matmul(gm, _window(cols, u, out_sp).T, out=gf[u])
+    gf = gf.reshape((k0, m, f_shape[1]) + tuple(f_shape[3:]))
+    return np.ascontiguousarray(np.moveaxis(gf, 0, 2))
 
 
 def conv_stack_grad_input(g, f, widths):
     """Gradient w.r.t. the (N, *sp) input stack that was zero-padded by
     widths[d] before the forward correlation: full correlation of the output
     gradient, padded by k - 1 - widths[d], with the spatially flipped
-    filters."""
+    filters whose in/out axes are swapped."""
     d = g.ndim - 1
     k_spatial = f.shape[2:]
     gp = pad_stack(g, [e - 1 - w for e, w in zip(k_spatial, widths)])
     cols, in_sp = stack_cols(gp, k_spatial)
-    ff = np.flip(f, axis=tuple(range(2, d + 2)))
-    # reorder to (N, M, *k) so rows of the matrix match cols' (M, *k) order
-    fmat = np.ascontiguousarray(ff.transpose((1, 0) + tuple(range(2, d + 2))))
-    n = f.shape[1]
-    return (fmat.reshape(n, -1) @ cols).reshape((n,) + tuple(in_sp))
+    ff = np.flip(f, axis=tuple(range(2, d + 2))).swapaxes(0, 1)
+    return _window_sum(ff, cols, in_sp)
 
 
 def pad_stack(x, widths):
@@ -133,12 +157,17 @@ def pad_stack(x, widths):
 # pooling / resampling on stacks
 # ---------------------------------------------------------------------------
 
-def max_pool_stack(x, window):
-    """Non-overlapping max pooling over the spatial axes of (C, *sp).
+def _pool_slices(window):
+    """Index tuples of the prod(window) strided views x[:, o0::w0, o1::w1,
+    ...] of a stack, one per offset o inside a pool window, in row-major
+    offset order."""
+    for o in np.ndindex(*window):
+        yield (slice(None),) + tuple(
+            slice(oi, None, w) for oi, w in zip(o, window))
 
-    Returns (pooled, sources) where sources holds, per output element, the
-    flat index into x of the selected maximum (first occurrence on ties).
-    """
+
+def max_pool_stack(x, window):
+    """Non-overlapping max pooling over the spatial axes of (C, *sp)."""
     spatial = x.shape[1:]
     if len(window) != len(spatial):
         raise ShapeError(
@@ -151,34 +180,23 @@ def max_pool_stack(x, window):
                 f"input extent {s} not divisible by pool window {w} "
                 f"in dimension {d}"
             )
-    out_sp = tuple(s // w for s, w in zip(spatial, window))
-    blocked = (x.shape[0],) + tuple(
-        t for s, w in zip(out_sp, window) for t in (s, w)
-    )
-    ndim = len(spatial)
-    outer = (0,) + tuple(1 + 2 * i for i in range(ndim))
-    inner = tuple(2 + 2 * i for i in range(ndim))
-    tiles = x.reshape(blocked).transpose(outer + inner)
-    tiles = tiles.reshape((x.shape[0],) + out_sp + (-1,))
-    arg = tiles.argmax(axis=-1)
-    pooled = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
-
-    flat = np.arange(x.size, dtype=np.int64).reshape(x.shape)
-    flat = flat.reshape(blocked).transpose(outer + inner)
-    flat = flat.reshape((x.shape[0],) + out_sp + (-1,))
-    sources = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return pooled, sources
+    slices = _pool_slices(window)
+    pooled = x[next(slices)].copy()
+    for sl in slices:
+        np.maximum(pooled, x[sl], out=pooled)
+    return pooled
 
 
-def max_pool_scatter(g, sources, in_shape):
-    """Route pooled gradients back to their argmax positions.
-
-    Windows never overlap, so source indices are unique and plain fancy
-    assignment suffices (no unbuffered add needed).
-    """
-    gx = np.zeros(int(np.prod(in_shape)))
-    gx[sources.ravel()] = g.ravel()
-    return gx.reshape(in_shape)
+def max_pool_scatter(g, x, pooled, window):
+    """Route pooled gradients back to the first maximum of each window (in
+    row-major offset order, as `max_pool_stack` takes the views)."""
+    gx = np.empty(x.shape)
+    unclaimed = np.ones(pooled.shape, dtype=bool)
+    for sl in _pool_slices(window):
+        hit = unclaimed & (x[sl] == pooled)
+        gx[sl] = np.where(hit, g, 0.0)
+        unclaimed &= ~hit
+    return gx
 
 
 def upsample_stack(x, factor):

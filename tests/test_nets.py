@@ -112,6 +112,29 @@ class TestUnet3d:
                                       shared=True, p=5))
         assert a.output_shape == b.output_shape
 
+    def test_backward_skips_input_gradient_of_constant_input(self, rng,
+                                                             monkeypatch):
+        """Layer 0 convolves the data, which needs no gradient, so one
+        backward computes an input gradient for every other conv layer."""
+        net = nets.Network.initialize(
+            quiet_build(nets.build_unet3d, levels=2, base_channels=2,
+                        input_extent=8, shared=True, p=3), seed=0)
+        calls = []
+        grad_input = ad.kernels.conv_stack_grad_input
+
+        def counted(*args):
+            calls.append(args)
+            return grad_input(*args)
+
+        monkeypatch.setattr(ad.kernels, "conv_stack_grad_input", counted)
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out = net.forward_var(Tensor(rng.normal(size=(1, 8, 8, 8))),
+                                  training=True)
+        ad.backward(tape, Tensor(np.ones(out.shape)))
+        assert len(calls) == len(net.conv_layer_indices()) - 1
+        assert all(np.any(p.grad) for p in net.parameters())
+
     def test_shared_and_unshared_same_output_shape(self, rng):
         x = Tensor(rng.normal(size=(1, 8, 8, 8)))
         outs = []

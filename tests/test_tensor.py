@@ -90,9 +90,11 @@ class TestConvValid:
         assert np.array_equal(conv1(x, k), x[1:5, 2:6])
 
     def test_freed_cols_pages_are_reused(self, rng):
-        """A freed 90 MB im2col matrix stays mapped, so the next one of the
-        same size faults in (almost) no fresh pages."""
-        x = rng.normal(size=(8, 40, 40, 40))
+        """A freed 100 MB im2col matrix stays mapped, so the next one of the
+        same size faults in (almost) no fresh pages. (The matrix is kept
+        above glibc's 32 MiB ceiling for its dynamic mmap threshold, below
+        which glibc's defaults would already reuse the pages.)"""
+        x = rng.normal(size=(24, 40, 40, 40))
         faults = []
         for _ in range(3):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -102,6 +104,75 @@ class TestConvValid:
             del cols
         assert faults[1] <= faults[0] / 10, faults
         assert faults[2] <= faults[0] / 10, faults
+
+
+def offset_sum_conv(x, f, b, widths, g):
+    """Plain-NumPy reference for ad.conv_stack: the output of x zero-padded
+    by widths, as a sum over kernel offsets u of f[:, :, u] times the
+    u-shifted slice, and the filter and input gradients under seed g."""
+    xp = np.pad(x, [(0, 0)] + [(w, w) for w in widths])
+    osp = tuple(s - e + 1 for s, e in zip(xp.shape[1:], f.shape[2:]))
+    out = np.zeros((f.shape[0],) + osp)
+    gf = np.zeros(f.shape)
+    gxp = np.zeros(xp.shape)
+    axes = tuple(range(1, len(osp) + 1))
+    for u in np.ndindex(*f.shape[2:]):
+        window = (slice(None),) + tuple(slice(o, o + s)
+                                        for o, s in zip(u, osp))
+        fu = (slice(None), slice(None)) + u
+        out += np.tensordot(f[fu], xp[window], axes=1)
+        gf[fu] = np.tensordot(g, xp[window], axes=(axes, axes))
+        gxp[window] += np.tensordot(f[fu], g, axes=([0], [0]))
+    crop = (slice(None),) + tuple(slice(w, w + s)
+                                  for w, s in zip(widths, x.shape[1:]))
+    return out + b[(slice(None),) + (None,) * len(osp)], gf, gxp[crop]
+
+
+class TestConvWindows:
+    """The partial-im2col layout (`stack_cols`' column windows) against the
+    offset-sum reference, through ad.conv_stack's forward and backward."""
+
+    @pytest.mark.parametrize("x_shape,k,widths", [
+        ((2, 7), (3,), (0,)),                  # 1D VALID
+        ((2, 7), (3,), (1,)),                  # 1D SAME
+        ((2, 5), (5,), (0,)),                  # first extent = input extent
+        ((2, 5, 6), (1, 3), (0, 1)),           # first extent 1, SAME
+        ((2, 4, 6), (4, 3), (0, 0)),           # first extent = input extent
+        ((3, 5, 6), (3, 3), (1, 1)),           # 2D SAME
+        ((2, 5, 4, 6), (3, 2, 3), (0, 0, 0)),  # non-cubic VALID
+        ((2, 5, 4, 6), (3, 2, 3), (1, 0, 1)),  # non-cubic, odd axes padded
+        ((1, 3, 4, 5), (3, 3, 3), (0, 0, 0)),  # first extent = input extent
+        ((2, 4, 5, 3), (3, 3, 3), (1, 1, 1)),  # 3D SAME
+        ((2, 4, 5, 3), (1, 3, 3), (0, 1, 1)),  # first extent 1
+    ])
+    def test_matches_offset_sum(self, rng, x_shape, k, widths):
+        m = 3
+        x = rng.normal(size=x_shape)
+        f = rng.normal(size=(m, x_shape[0]) + k)
+        b = rng.normal(size=m)
+        g = rng.normal(size=(m,) + tuple(
+            s + 2 * w - e + 1 for s, w, e in zip(x_shape[1:], widths, k)))
+        out_ref, gf_ref, gx_ref = offset_sum_conv(x, f, b, widths, g)
+
+        xv, fv, bv = (ad.Parameter(n, a) for n, a in (("x", x), ("f", f),
+                                                      ("b", b)))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out = ad.conv_stack(xv, fv, bv, widths)
+        ad.backward(tape, Tensor(g))
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.array, out_ref, **tol)
+        np.testing.assert_allclose(fv.grad, gf_ref, **tol)
+        np.testing.assert_allclose(xv.grad, gx_ref, **tol)
+        np.testing.assert_allclose(bv.grad, g.sum(axis=tuple(
+            range(1, g.ndim))), **tol)
+
+        xp = np.pad(x, [(0, 0)] + [(w, w) for w in widths])
+        cols, out_sp = K.stack_cols(xp, k)
+        assert out_sp == out_ref.shape[1:]
+        assert cols.shape == (x_shape[0] * int(np.prod(k[1:])),
+                              xp.shape[1] * int(np.prod(out_sp[1:])))
+        assert cols.flags.c_contiguous
 
 
 def same_forward(x, f, b=None):
