@@ -9,15 +9,13 @@ zero-pads, convolves and adds the bias, and ``upsample_concat`` joins a U-Net
 skip.
 
 Parameters accumulate gradients across backward calls until ``zero_grads``;
-intermediate adjoints are transient per backward pass. A tape must stay on
-one thread; distinct tapes may run concurrently and share Parameters as long
-as their backward calls are serialized.
+intermediate adjoints are transient per backward pass. The active tape is one
+module-level slot, so recording is single-threaded.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,7 @@ from .tensor import Shape, Tensor
 __all__ = [
     "Var", "Parameter", "Tape", "recording", "custom_op", "as_var",
     "forward", "backward", "zero_grads", "grad_check", "GradCheckReport",
-    "add", "sub", "mul", "scale", "relu", "sigmoid", "sum_all", "dot",
+    "add", "relu", "sigmoid", "sum_all",
     "conv_stack", "max_pool", "upsample_concat", "global_avg_pool",
     "affine", "apply_mask", "mix_filters", "squeeze_leading",
     "set_fault_injection",
@@ -102,21 +100,18 @@ class Tape:
         return len(self.entries)
 
 
-_STATE = threading.local()
-
-
-def _active_tape() -> Tape | None:
-    return getattr(_STATE, "tape", None)
+_ACTIVE_TAPE: Tape | None = None
 
 
 @contextlib.contextmanager
 def recording(tape: Tape):
-    prev = _active_tape()
-    _STATE.tape = tape
+    global _ACTIVE_TAPE
+    prev = _ACTIVE_TAPE
+    _ACTIVE_TAPE = tape
     try:
         yield tape
     finally:
-        _STATE.tape = prev
+        _ACTIVE_TAPE = prev
 
 
 def as_var(x) -> Var:
@@ -132,13 +127,11 @@ def custom_op(value: Tensor, inputs: tuple[Var, ...], vjp) -> Var:
     position; None means "no gradient flows to this input".
     """
     out = Var(value)
-    tape = _active_tape()
     if any(v.requires_grad for v in inputs):
         out.requires_grad = True
-        if tape is not None:
-            entry = _Entry(out, inputs, vjp)
-            tape.entries.append(entry)
-            tape.output = out
+        if _ACTIVE_TAPE is not None:
+            _ACTIVE_TAPE.entries.append(_Entry(out, inputs, vjp))
+            _ACTIVE_TAPE.output = out
     return out
 
 
@@ -226,25 +219,6 @@ def add(a, b) -> Var:
     return custom_op(Tensor._wrap(a.array + b.array), (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    _op("sub", kernels.require_same_shape, a.array, b.array)
-    return custom_op(Tensor._wrap(a.array - b.array), (a, b), lambda g: (g, -g))
-
-
-def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    _op("mul", kernels.require_same_shape, a.array, b.array)
-    xa, xb = a.array, b.array
-    return custom_op(Tensor._wrap(xa * xb), (a, b), lambda g: (g * xb, g * xa))
-
-
-def scale(a, c: float) -> Var:
-    a = as_var(a)
-    c = float(c)
-    return custom_op(Tensor._wrap(a.array * c), (a,), lambda g: (g * c,))
-
-
 def relu(a) -> Var:
     a = as_var(a)
     mask = a.array > 0
@@ -275,23 +249,12 @@ def sum_all(a) -> Var:
     )
 
 
-def dot(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    if a.array.ndim != 1 or b.array.ndim != 1:
-        raise ShapeError("dot: expects two 1-dimensional tensors")
-    _op("dot", kernels.require_same_shape, a.array, b.array)
-    xa, xb = a.array, b.array
-    return custom_op(
-        Tensor._wrap(np.array([np.dot(xa, xb)])),
-        (a, b),
-        lambda g: (g[0] * xb, g[0] * xa),
-    )
-
-
 def conv_stack(x, f, b, widths) -> Var:
     """One conv layer: zero-pad x (N, *sp) by widths[d] on both sides of
     spatial axis d, cross-correlate with the (M, N, *k) filters and add the
-    (M,) bias -> (M, *osp).
+    (M,) bias -> (M, *osp). This is the one place that checks a conv call's
+    filter rank, channel count, pad widths and bias against its input, before
+    any im2col matrix is built.
 
     The forward (partial) im2col matrix is kept on the tape and reused by the
     filter gradient; the input gradient is that of the unpadded x, so backward
@@ -300,19 +263,29 @@ def conv_stack(x, f, b, widths) -> Var:
     no input gradient at all.
     """
     x, f, b = as_var(x), as_var(f), as_var(b)
-    fa = f.array
+    xa, fa = x.array, f.array
     widths = tuple(int(w) for w in widths)
-    if len(widths) != x.array.ndim - 1 or not all(
+    if fa.ndim != xa.ndim + 1:
+        raise ShapeError(
+            f"conv_stack: filter stack must be (out, in, *kernel); got "
+            f"{fa.ndim} axes for a {xa.ndim - 1}-dimensional input stack"
+        )
+    if fa.shape[1] != xa.shape[0]:
+        raise ShapeError(
+            f"conv_stack: filter stack expects {fa.shape[1]} input channels, "
+            f"got {xa.shape[0]}"
+        )
+    if len(widths) != xa.ndim - 1 or not all(
             0 <= w < e for w, e in zip(widths, fa.shape[2:])):
         raise ShapeError(f"conv_stack: pad widths {widths} do not fit a "
-                         f"{fa.shape[2:]} kernel on a {x.array.shape} input")
+                         f"{fa.shape[2:]} kernel on a {xa.shape} input")
     if b.array.shape != fa.shape[:1]:
         raise ShapeError(
             f"conv_stack: bias shaped {b.array.shape} for {fa.shape[0]} filters"
         )
-    xp = kernels.pad_stack(x.array, widths)
+    xp = kernels.pad_stack(xa, widths)
     cols, out_sp = _op("conv_stack", kernels.stack_cols, xp, fa.shape[2:])
-    out = _op("conv_stack", kernels.conv_stack, xp, fa, cols, out_sp)
+    out = kernels.conv_stack(fa, cols, out_sp)
     out += b.array[(slice(None),) + (None,) * len(widths)]
     spatial_axes = tuple(range(1, out.ndim))
 

@@ -234,8 +234,6 @@ def cmd_train(cfg) -> int:
     out = _out_dir(cfg)
     train_set, val_set, _ = _load_task_data(cfg)
     tc = _train_config(cfg)
-    if tc.subset_fraction < 1.0:
-        train_set = data.subset(train_set, tc.subset_fraction, cfg["seed"])
     reg = _reg_config(cfg)
     start_epoch = 0
     optimizer = None

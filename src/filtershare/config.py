@@ -67,8 +67,6 @@ SCHEMA = {
                 "batch_size": _POSINT,
                 "epochs": {"type": "integer", "minimum": 0},
                 "eval_every": {"type": "integer", "minimum": 0},
-                "subset_fraction": {"type": "number", "exclusiveMinimum": 0,
-                                    "maximum": 1},
                 "record_seconds": {"type": "boolean"},
             },
         },
@@ -144,8 +142,7 @@ DEFAULTS = {
     "arch": {"levels": 3, "base_channels": 8, "input_extent": 40},
     "sharing": {"enabled": True, "p": 15},
     "train": {"optimizer": "adam", "learning_rate": 1e-3, "batch_size": 4,
-              "epochs": 10, "eval_every": 1, "subset_fraction": 1.0,
-              "record_seconds": True},
+              "epochs": 10, "eval_every": 1, "record_seconds": True},
     "regularizers": {"unit_norm_seeds": False, "l1_alpha": 0.0,
                      "nuclear_alpha": 0.0, "dropout_p": 0.1},
     "gradcheck": {"tolerance": 1e-4, "coord_budget": 10_000,

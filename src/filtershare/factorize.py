@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nets, traineval
 from .errors import ConfigError, NumericError
-from .sharedconv import FilterBank, MixingCoefficients, expand_filters
+from .sharedconv import expand_filters
 from .tensor import Tensor
 
 
@@ -85,15 +85,13 @@ def jacobi_svd(a, tol: float = 1e-12,
 
 @dataclass(frozen=True)
 class Factorization:
-    """Rank-P bank + coefficients for one layer, with reconstruction stats."""
+    """Rank-P factorization of one layer, (P, *k) seeds and (M, N, P)
+    alpha, with reconstruction stats."""
 
-    bank: FilterBank
-    alpha: MixingCoefficients
+    seeds: Tensor
+    alpha: Tensor
     reconstruction_rmse: float
     retained_energy: float
-    out_channels: int
-    in_channels: int
-    kernel_extents: tuple[int, ...]
 
 
 def decompose(filters: Tensor, p: int, tol: float = 1e-12) -> Factorization:
@@ -126,20 +124,17 @@ def decompose(filters: Tensor, p: int, tol: float = 1e-12) -> Factorization:
     rmse = float(np.sqrt(sq_err / mat.size))
     retained = kept_energy / total_energy if total_energy > 0.0 else 1.0
     return Factorization(
-        bank=FilterBank(Tensor(seeds)),
-        alpha=MixingCoefficients(Tensor(alpha)),
+        seeds=Tensor(seeds),
+        alpha=Tensor(alpha),
         reconstruction_rmse=rmse,
         retained_energy=retained,
-        out_channels=m,
-        in_channels=n,
-        kernel_extents=tuple(int(e) for e in kernel_extents),
     )
 
 
 def reconstruct(factorization: Factorization) -> Tensor:
     """Expand the factorized bank back to the (M, N, *k) filter stack; the
     expansion is the same code path shared layers use at run time."""
-    return expand_filters(factorization.bank, factorization.alpha).value
+    return expand_filters(factorization.seeds, factorization.alpha).value
 
 
 # ---------------------------------------------------------------------------

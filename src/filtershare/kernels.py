@@ -8,10 +8,12 @@ filters absorb it), computed as a partial im2col (MEC: Cho & Brand, ICML
 input rather than prod(k). Each offset u along the first kernel axis is a
 contiguous column window of that matrix, and the forward pass sums k[0] GEMMs
 `F_u @ window_u`; the filter gradient is k[0] GEMMs against the same windows.
-The caller zero-pads the input with `pad_stack`, and `conv_stack_grad_input`
-takes the same widths and returns the gradient of the unpadded input, by the
-same windowed sum over the padded output gradient with flipped, transposed
-filters. Every function is pure and deterministic.
+The caller (`autodiff.conv_stack`, the one place that checks a conv call's
+filter rank and channel count) zero-pads the input with `pad_stack`, builds
+its matrix with `stack_cols` and hands that to `conv_stack`.
+`conv_stack_grad_input` takes the same widths and returns the gradient of the
+unpadded input, by the same windowed sum over the padded output gradient with
+flipped, transposed filters. Every function is pure and deterministic.
 
 On import this module sets a process-wide glibc allocator policy through
 `mallopt`: blocks below 1 GiB come from the heap rather than their own `mmap`
@@ -104,18 +106,10 @@ def _window_sum(f, cols, out_spatial):
     return out.reshape((f.shape[0],) + tuple(out_spatial))
 
 
-def conv_stack(x, f, cols=None, out_spatial=None):
-    if f.ndim != x.ndim + 1:
-        raise ShapeError(
-            f"filter stack must be (out, in, *kernel); got {f.ndim} axes for a "
-            f"{x.ndim - 1}-dimensional input stack"
-        )
-    if f.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"filter stack expects {f.shape[1]} input channels, got {x.shape[0]}"
-        )
-    if cols is None:
-        cols, out_spatial = stack_cols(x, f.shape[2:])
+def conv_stack(f, cols, out_spatial):
+    """Forward correlation of the (M, N, *k) filters with the `stack_cols`
+    matrix of the (padded) input -> (M, *out_spatial). The caller checks
+    that the filters' rank and input channels match the input."""
     return _window_sum(f, cols, out_spatial)
 
 

@@ -165,14 +165,6 @@ class ShapeTrace:
     def output_shape(self) -> tuple[int, ...]:
         return self.rows[-1].output_shape if self.rows else self.input_shape
 
-    @property
-    def total_weights(self) -> int:
-        return sum(r.weights for r in self.rows)
-
-    @property
-    def total_bias(self) -> int:
-        return sum(r.bias for r in self.rows)
-
 
 def validate(spec: NetSpec, input_shape=None) -> ShapeTrace:
     """Propagate shapes through every layer; raise ShapeError (naming the

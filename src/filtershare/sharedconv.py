@@ -6,6 +6,11 @@ forward pass as v[i,j] = sum_p alpha[i,j,p] * seed[p]. Backprop reaches the
 bank and the coefficients through the tape, so training them directly needs
 no hand-derived gradients. Weight counts: M*N*S unshared, M*N*P + P*S shared;
 the bias (M scalars) is never shared.
+
+The layer functions take the (P, *k) seeds and the (M, N, P) coefficients as
+Parameters, Vars or Tensors; `FilterBank` wraps a seed stack for the unit-norm
+projection. `layer_forward` checks the filters against the layer spec, and
+`autodiff.conv_stack` checks them against the input.
 """
 
 from __future__ import annotations
@@ -85,106 +90,58 @@ class FilterBank:
     def count(self) -> int:
         return self.seeds.array.shape[0]
 
-    @property
-    def kernel_extents(self) -> tuple[int, ...]:
-        return tuple(self.seeds.array.shape[1:])
-
-    def seed(self, p: int) -> Tensor:
-        return self.seeds[p]
-
     def norms(self) -> np.ndarray:
         flat = self.seeds.array.reshape(self.count, -1)
         return np.sqrt((flat * flat).sum(axis=1))
 
 
-@dataclass(frozen=True)
-class MixingCoefficients:
-    """The M x N x P weights combining seed filters into full filters."""
+def expand_filters(seeds, alpha) -> ad.Var:
+    """v[i,j] = sum_p alpha[i,j,p] * seed[p], differentiable in both.
 
-    alpha: Tensor
-
-    def __post_init__(self):
-        alpha = self.alpha if isinstance(self.alpha, Tensor) else Tensor(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        if alpha.array.ndim != 3:
-            raise ShapeError(
-                f"mixing coefficients must be (M, N, P), got {tuple(alpha.shape)}"
-            )
-
-    @property
-    def count(self) -> int:
-        return self.alpha.array.shape[2]
-
-
-def _seeds_operand(bank):
-    if isinstance(bank, FilterBank):
-        return bank.seeds
-    return bank  # Parameter/Var/Tensor holding the (P, *k) stack
-
-
-def _alpha_operand(alpha):
-    if isinstance(alpha, MixingCoefficients):
-        return alpha.alpha
-    return alpha
-
-
-def expand_filters(bank, alpha) -> ad.Var:
-    """v[i,j] = sum_p alpha[i,j,p] * seed[p], differentiable in both."""
-    return ad.mix_filters(_seeds_operand(bank), _alpha_operand(alpha))
+    `seeds` is the (P, *k) stack and `alpha` the (M, N, P) coefficients, each
+    a Parameter, Var or Tensor."""
+    return ad.mix_filters(seeds, alpha)
 
 
 def layer_forward(spec: ConvLayerSpec, filters, bias, inputs) -> ad.Var:
     """out[i] = sum_j corr(in[j], v[i,j]) + b[i] over a channel stack.
 
     `inputs` is the (N, *spatial) stack; `filters` the (M, N, *k) stack.
+    This checks the filters against the spec; `ad.conv_stack` checks them
+    against the input.
     """
-    x = ad.as_var(inputs)
     f = ad.as_var(filters)
-    if x.array.ndim != spec.spatial_dims + 1:
-        raise ShapeError(
-            f"layer_forward: input stack must have {spec.spatial_dims} spatial "
-            f"dims plus channels, got shape {x.array.shape}"
-        )
-    if x.array.shape[0] != spec.in_channels:
-        raise ShapeError(
-            f"layer_forward: expected {spec.in_channels} input channels, "
-            f"got {x.array.shape[0]}"
-        )
     expect_f = (spec.out_channels, spec.in_channels) + spec.kernel_extents
     if tuple(f.array.shape) != expect_f:
         raise ShapeError(
             f"layer_forward: filters shaped {f.array.shape}, expected {expect_f}"
         )
     same = spec.padding == SAME
-    return ad.conv_stack(
-        x, f, bias, [(e - 1) // 2 if same else 0 for e in spec.kernel_extents])
+    return ad.conv_stack(inputs, f, bias, [(e - 1) // 2 if same else 0
+                                           for e in spec.kernel_extents])
 
 
-def shared_layer_forward(spec: ConvLayerSpec, bank, alpha, bias, inputs) -> ad.Var:
+def shared_layer_forward(spec: ConvLayerSpec, seeds, alpha, bias,
+                         inputs) -> ad.Var:
     """Forward pass of a shared layer; defined as layer_forward of the
     expanded bank, so the equivalence with the unshared path is structural."""
     if not spec.shared:
         raise ConfigError("shared_layer_forward needs a spec with sharing enabled")
-    seeds = _seeds_operand(bank)
-    al = _alpha_operand(alpha)
-    p_bank = ad.as_var(seeds).array.shape[0]
-    p_alpha = ad.as_var(al).array.shape[2]
+    seeds, alpha = ad.as_var(seeds), ad.as_var(alpha)
+    p_bank = seeds.array.shape[0]
+    p_alpha = alpha.array.shape[2]
     if p_bank != spec.sharing_p or p_alpha != spec.sharing_p:
         raise ShapeError(
             f"shared_layer_forward: spec P={spec.sharing_p} but bank has "
             f"{p_bank} seeds and alpha has {p_alpha}"
         )
-    return layer_forward(spec, expand_filters(seeds, al), bias, inputs)
+    return layer_forward(spec, expand_filters(seeds, alpha), bias, inputs)
 
 
 @dataclass(frozen=True)
 class ParamCount:
     weights: int
     bias: int
-
-    @property
-    def total(self) -> int:
-        return self.weights + self.bias
 
 
 def param_count(spec: ConvLayerSpec) -> ParamCount:

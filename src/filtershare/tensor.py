@@ -60,39 +60,16 @@ class Tensor:
         return Shape(self.array.shape)
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values (read-only)."""
-        return self.array.reshape(-1)
-
-    @property
     def size(self) -> int:
         return self.array.size
-
-    def reshape(self, shape) -> "Tensor":
-        return Tensor._wrap(np.ascontiguousarray(self.array.reshape(Shape(shape))))
-
-    def tolist(self):
-        return self.array.tolist()
 
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.array.reshape(-1)[0])
 
-    def __getitem__(self, idx):
-        got = self.array[idx]
-        if np.isscalar(got) or got.ndim == 0:
-            return float(got)
-        return Tensor._wrap(np.ascontiguousarray(got))
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)})"
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash((tuple(self.shape), self.array.tobytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,17 @@ class Metrics:
         out = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != METRICS_HEADER:
-                raise ConfigError(f"{path}: unexpected metrics header {header}")
+                raise FormatError(f"{path}: unexpected metrics header {header}")
             for row in reader:
-                out.append(MetricsRow(int(row[0]), row[1], float(row[2]),
-                                      float(row[3]), float(row[4])))
+                try:
+                    epoch, split, loss, metric, seconds = row
+                    out.append(MetricsRow(int(epoch), split, float(loss),
+                                          float(metric), float(seconds)))
+                except ValueError:
+                    raise FormatError(f"{path}: line {reader.line_num}: "
+                                      f"malformed metrics row {row}") from None
         return out
 
 
@@ -273,7 +278,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     eval_every: int = 1
-    subset_fraction: float = 1.0
     record_seconds: bool = True
 
     def __post_init__(self):
@@ -283,10 +287,6 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.subset_fraction <= 1.0:
-            raise ConfigError(
-                f"subset fraction must lie in (0, 1], got {self.subset_fraction}"
-            )
 
 
 def evaluate(net: nets.Network, dataset) -> tuple[float, float]:

@@ -234,6 +234,24 @@ class TestTrainEvalCommands:
         train_epochs = [int(r[0]) for r in rows if r[1] == "train"]
         assert train_epochs == [0, 1, 2]
 
+    def test_resume_with_malformed_metrics_is_exit_2(self, tmp_path, capsys):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        metrics = tmp_path / "metrics.csv"
+        with open(metrics, "a") as fh:
+            fh.write("0,train,abc,1,0\n")
+        capsys.readouterr()
+        assert run(train_args(tmp_path, epochs=2)
+                   + ["--set", f"resume={tmp_path / 'checkpoints'}"]
+                   ) == cli.EXIT_USAGE
+        assert f"{metrics}: line 4" in capsys.readouterr().err
+
+    def test_subset_fraction_is_not_a_train_key(self, tmp_path, capsys):
+        args = train_args(tmp_path, epochs=1) + [
+            "--set", "train.subset_fraction=0.5"]
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "train" in err and "subset_fraction" in err
+
     def test_eval_command(self, tmp_path):
         assert run(train_args(tmp_path, epochs=1)) == 0
         assert run(eval_args(tmp_path)) == 0

@@ -25,12 +25,13 @@ class TestCifCnn:
         assert conv_shapes == [(32, 28, 28), (64, 10, 10), (64, 3, 3)]
 
     def test_unshared_total_matches_hand_sum(self):
-        trace = nets.validate(nets.build_cifcnn(shared=False))
+        spec = nets.build_cifcnn(shared=False)
+        trace = nets.validate(spec)
         # conv1 32*3*25, conv2 64*32*25, conv3 64*64*9, dense 64*10 + biases
         weights = 32 * 3 * 25 + 64 * 32 * 25 + 64 * 64 * 9 + 64 * 10
         bias = 32 + 64 + 64 + 10
-        assert trace.total_weights == weights
-        assert trace.total_bias == bias
+        assert nets.Network.initialize(spec, seed=0).weight_count() == weights
+        assert sum(r.bias for r in trace.rows) == bias
 
     def test_shared_layers_use_sharing_formula(self):
         spec = quiet_build(nets.build_cifcnn, shared=True, p=15)
@@ -79,18 +80,21 @@ class TestUnet3d:
         assert trace.output_shape == (40, 40, 40)
 
     def test_unshared_total_matches_hand_sum(self):
-        trace = nets.validate(nets.build_unet3d(shared=False))
+        spec = nets.build_unet3d(shared=False)
+        trace = nets.validate(spec)
         weights = 27 * (1 * 8 + 8 * 8 + 8 * 16 + 16 * 16 + 16 * 32 + 32 * 32
                         + 48 * 16 + 16 * 16 + 24 * 8 + 8 * 8) + 8 * 1
         bias = 8 + 8 + 16 + 16 + 32 + 32 + 16 + 16 + 8 + 8 + 1
-        assert trace.total_weights == weights == 88352
-        assert trace.total_bias == bias == 161
+        net = nets.Network.initialize(spec, seed=0)
+        assert net.weight_count() == weights == 88352
+        assert sum(r.bias for r in trace.rows) == bias == 161
 
     def test_shared_strictly_fewer_weights(self):
-        shared = nets.validate(quiet_build(nets.build_unet3d, shared=True, p=15))
-        unshared = nets.validate(nets.build_unet3d(shared=False))
-        assert shared.total_weights < unshared.total_weights
-        ratio = shared.total_weights / unshared.total_weights
+        shared = nets.Network.initialize(
+            quiet_build(nets.build_unet3d, shared=True, p=15), seed=0)
+        unshared = nets.Network.initialize(nets.build_unet3d(shared=False),
+                                           seed=0)
+        ratio = shared.weight_count() / unshared.weight_count()
         assert 0 < ratio <= 0.60
 
     def test_forward_in_unit_interval(self, rng):
@@ -160,7 +164,7 @@ class TestNetworkParams:
         net = nets.Network.initialize(spec, seed=0)
         trace = nets.validate(spec)
         assert (sum(p.value.size for p in net.parameters())
-                == trace.total_weights + trace.total_bias)
+                == sum(r.weights + r.bias for r in trace.rows))
 
     def test_initialization_is_seed_deterministic(self):
         a = nets.Network.initialize(nets.build_cifcnn(), seed=4)

@@ -12,7 +12,7 @@ class TestUnitNormProjection:
     def test_three_four_five(self):
         bank = FilterBank(Tensor([[3.0, 4.0]]))
         out = reg.project_unit_norm(bank)
-        assert out.seeds.tolist() == [[0.6, 0.8]]
+        assert out.seeds.array.tolist() == [[0.6, 0.8]]
 
     def test_idempotent_on_unit_seed(self, rng):
         seed = rng.normal(size=(1, 3, 3))
@@ -43,11 +43,11 @@ class TestUnitNormProjection:
 class TestL1Penalty:
     def test_hand_value(self):
         out = reg.l1_penalty(Tensor(np.array([[1.0, -2.0]]).reshape(1, 1, 2)), 0.5)
-        assert out.value.tolist() == [1.5]
+        assert out.value.array.tolist() == [1.5]
 
     def test_zero_weight(self, rng):
         out = reg.l1_penalty(Tensor(rng.normal(size=(2, 2, 2))), 0.0)
-        assert out.value.tolist() == [0.0]
+        assert out.value.array.tolist() == [0.0]
 
     def test_gradient_matches_fd_away_from_zero(self, rng):
         vals = rng.normal(size=(2, 3, 2))
@@ -68,11 +68,11 @@ class TestL1Penalty:
 class TestNuclearPenalty:
     def test_rank_one_matrix(self):
         out = reg.nuclear_penalty(Tensor([[2.0, 0.0], [0.0, 0.0]]), 0.5)
-        assert out.value.tolist() == [pytest.approx(1.0)]
+        assert out.value.array.tolist() == [pytest.approx(1.0)]
 
     def test_identity(self):
         out = reg.nuclear_penalty(Tensor(np.eye(2)), 1.0)
-        assert out.value.tolist() == [pytest.approx(2.0)]
+        assert out.value.array.tolist() == [pytest.approx(2.0)]
 
     def test_matches_jacobi_oracle(self, rng):
         mat = rng.normal(size=(6, 3))

@@ -23,12 +23,13 @@ class TestExpandFilters:
     def test_single_seed_scaling(self):
         out = sc.expand_filters(Tensor([[1.0, 0.0, -1.0]]),
                                 Tensor(np.full((1, 1, 1), 2.0)))
-        assert out.value.tolist() == [[[2.0, 0.0, -2.0]]]
+        assert out.value.array.tolist() == [[[2.0, 0.0, -2.0]]]
 
     def test_basis_combination(self):
         seeds = Tensor([[1.0, 0.0], [0.0, 1.0]])
         alpha = Tensor(np.array([3.0, 4.0]).reshape(1, 1, 2))
-        assert sc.expand_filters(seeds, alpha).value.tolist() == [[[3.0, 4.0]]]
+        out = sc.expand_filters(seeds, alpha)
+        assert out.value.array.tolist() == [[[3.0, 4.0]]]
 
     def test_zero_alpha_zero_filters(self, rng):
         seeds = Tensor(rng.normal(size=(4, 3, 3)))

@@ -6,7 +6,8 @@ import pytest
 from filtershare import autodiff as ad
 from filtershare import data, nets, traineval as te
 from filtershare import sharedconv as sc
-from filtershare.errors import ConfigError, ContractError, ShapeError, TrainingAbort
+from filtershare.errors import (ConfigError, ContractError, FormatError,
+                                ShapeError, TrainingAbort)
 from filtershare.regularizers import RegularizerConfig
 from filtershare.tensor import Tensor
 
@@ -90,13 +91,13 @@ class TestOptimizers:
         p = ad.Parameter("w", [1.0])
         p.grad[:] = 2.0
         te.SGD(0.1).step([p])
-        assert p.value.tolist() == [pytest.approx(0.8)]
+        assert p.value.array.tolist() == [pytest.approx(0.8)]
 
     def test_zero_grad_keeps_value(self):
         for opt in (te.SGD(0.1), te.Adam(0.1)):
             p = ad.Parameter("w", [3.0])
             opt.step([p])
-            assert p.value.tolist() == [3.0]
+            assert p.value.array.tolist() == [3.0]
 
     def test_adam_descends_quadratic(self):
         p = ad.Parameter("w", [1.0, 1.0])
@@ -104,7 +105,9 @@ class TestOptimizers:
         losses = []
         for _ in range(100):
             ad.zero_grads([p])
-            _, tape = ad.forward(lambda: ad.sum_all(ad.mul(p, p)))
+            # p as a constant mask: the tape's gradient is p, that of sum(p^2)/2
+            _, tape = ad.forward(
+                lambda: ad.sum_all(ad.apply_mask(p, p.value.array)))
             losses.append(float((p.value.array ** 2).sum()))
             ad.backward(tape, Tensor([1.0]))
             opt.step([p])
@@ -304,7 +307,7 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["epoch_0000"]
         net2, _, epoch = te.load_checkpoint(tmp_path / "epoch_0000")
         assert epoch == 1
-        assert net2.params["layer0.bias"].value.tolist() == [5.0, -5.0]
+        assert net2.params["layer0.bias"].value.array.tolist() == [5.0, -5.0]
 
     def test_interrupted_save_leftovers_are_not_checkpoints(self, tmp_path):
         net = linear_net(seed=0)
@@ -324,3 +327,21 @@ class TestMetricsCsv:
         assert path.read_text().splitlines()[0] == "epoch,split,loss,metric,seconds"
         back = te.Metrics.read_csv(path)
         assert back.rows == m.rows
+
+    @pytest.mark.parametrize("bad_row", ["0,train,abc,1,0", "0,train,1.5,1",
+                                         "x,train,1.5,1,0"],
+                             ids=["bad_loss", "short_row", "bad_epoch"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_row):
+        path = tmp_path / "metrics.csv"
+        path.write_text("epoch,split,loss,metric,seconds\n"
+                        "0,val,1.25,0.5,2.0\n" + bad_row + "\n")
+        with pytest.raises(FormatError, match=r"metrics\.csv: line 3"):
+            te.Metrics.read_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "epoch,split\n"],
+                             ids=["empty", "bad_header"])
+    def test_bad_header_names_file(self, tmp_path, text):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"metrics\.csv: unexpected"):
+            te.Metrics.read_csv(path)
