@@ -135,7 +135,7 @@ def custom_op(value: Tensor, inputs: tuple[Var, ...], vjp) -> Var:
     return out
 
 
-def forward(program, inputs=(), parameters=()) -> tuple[Tensor, Tape]:
+def forward(program, inputs=()) -> tuple[Tensor, Tape]:
     """Run a program under a fresh tape. Returns (output value, tape).
 
     The program is a callable taking one Var per input; it should reference
@@ -299,13 +299,11 @@ def conv_stack(x, f, b, widths) -> Var:
     return custom_op(Tensor._wrap(out), (x, f, b), vjp)
 
 
-def max_pool(x, window) -> Var:
-    """Non-overlapping max pool of the spatial axes of a (C, *sp) stack."""
+def max_pool(x, window: int) -> Var:
+    """Non-overlapping max pool, the same window on every spatial axis of a
+    (C, *sp) stack."""
     x = as_var(x)
-    if np.isscalar(window):
-        window = (int(window),) * (x.array.ndim - 1)
-    else:
-        window = tuple(int(w) for w in window)
+    window = (int(window),) * (x.array.ndim - 1)
     xa = x.array
     pooled = _op("max_pool", kernels.max_pool_stack, xa, window)
     return custom_op(
@@ -459,12 +457,14 @@ def _select_coords(parameters, budget, seed):
     return picked
 
 
+GRAD_CHECK_STEP = 1e-5
+
+
 def grad_check(program, parameters, tolerance: float = 1e-4, inputs=(),
-               coord_budget: int = 10_000, seed: int = 0,
-               fd_step: float = 1e-5) -> GradCheckReport:
+               coord_budget: int = 10_000, seed: int = 0) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
-    Per coordinate: step h = fd_step * max(1, |theta|), relative error
+    Per coordinate: step h = GRAD_CHECK_STEP * max(1, |theta|), relative error
     |a - n| / (|a| + |n| + 1e-12). Checks every coordinate, or a seeded
     random subset when the total exceeds coord_budget.
 
@@ -477,7 +477,7 @@ def grad_check(program, parameters, tolerance: float = 1e-4, inputs=(),
     fails.
     """
     parameters = list(parameters)
-    out_value, tape = forward(program, inputs, parameters)
+    out_value, tape = forward(program, inputs)
     if tuple(out_value.shape) != (1,):
         raise ContractError(
             f"grad_check needs a scalar (shape (1,)) program output, "
@@ -496,7 +496,7 @@ def grad_check(program, parameters, tolerance: float = 1e-4, inputs=(),
         for ci in coords[p.id]:
             ci = int(ci)
             theta = flat[ci]
-            h = fd_step * max(1.0, abs(theta))
+            h = GRAD_CHECK_STEP * max(1.0, abs(theta))
             for sign in (+1.0, -1.0):
                 bumped = base.array.copy()
                 bumped.reshape(-1)[ci] = theta + sign * h

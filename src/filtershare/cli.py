@@ -99,8 +99,9 @@ def _scramble_params(net: nets.Network, seed: int) -> None:
 
 
 def _gradcheck_cases(cfg):
-    """Shared conv layers for D in {1,2,3} plus both reference nets."""
-    gc = cfg["gradcheck"]
+    """Shared conv layers for D in {1,2,3}, the CIF-CNN, and a 2-level,
+    2-base-channel U-Net on gradcheck.unet_input_extent^3 inputs."""
+    extent = cfg["gradcheck"]["unet_input_extent"]
     cases = []
     for d, kernel in ((1, (5,)), (2, (3, 3)), (3, (3, 3, 3))):
         spec = sc.ConvLayerSpec(2, 3, kernel, sharing_p=2)
@@ -125,15 +126,13 @@ def _gradcheck_cases(cfg):
     cases.append(("cifcnn", cif_program, cif.parameters()))
 
     unet = nets.Network.initialize(
-        nets.build_unet3d(levels=gc["unet_levels"],
-                          base_channels=gc["unet_base_channels"], shared=True,
-                          p=15, input_extent=gc["unet_input_extent"]),
+        nets.build_unet3d(levels=2, base_channels=2, shared=True, p=15,
+                          input_extent=extent),
         seed=6)
     _scramble_params(unet, seed=60)
     rng = np.random.default_rng(300)
-    unet_x = Tensor(rng.normal(size=(1,) + (gc["unet_input_extent"],) * 3))
-    unet_t = Tensor((rng.random((gc["unet_input_extent"],) * 3) > 0.7)
-                    .astype(float))
+    unet_x = Tensor(rng.normal(size=(1,) + (extent,) * 3))
+    unet_t = Tensor((rng.random((extent,) * 3) > 0.7).astype(float))
 
     def unet_program():
         return traineval.soft_dice_loss(unet.forward_var(unet_x), unet_t)
@@ -150,7 +149,7 @@ def cmd_gradcheck(cfg) -> int:
         rows = []
         all_ok = True
         for name, program, params in _gradcheck_cases(cfg):
-            report = ad.grad_check(program, params, tolerance=gc["tolerance"],
+            report = ad.grad_check(program, params,
                                    coord_budget=gc["coord_budget"],
                                    seed=cfg["seed"])
             all_ok &= report.passed
@@ -160,7 +159,7 @@ def cmd_gradcheck(cfg) -> int:
                 checked[r.param_id] = checked.get(r.param_id, 0) + 1
             for pid in sorted(worst):
                 rows.append([name, pid, checked[pid], f"{worst[pid]:.6e}",
-                             "pass" if worst[pid] < gc["tolerance"] else "FAIL"])
+                             "pass" if worst[pid] < report.tolerance else "FAIL"])
     finally:
         ad.set_fault_injection(False)
     with open(out / "gradcheck.csv", "w", newline="") as fh:
@@ -244,9 +243,10 @@ def cmd_train(cfg) -> int:
         if latest is None:
             raise ConfigError(f"resume: no checkpoints under {cfg['resume']}")
         net, optimizer, last_epoch = traineval.load_checkpoint(latest)
+        _check_resume_matches(cfg, latest / "manifest.json", net, optimizer)
         start_epoch = last_epoch + 1
         if metrics_path.exists():
-            metrics = traineval.Metrics.read_csv(metrics_path)
+            metrics = traineval.Metrics.read_csv(metrics_path, last_epoch)
     else:
         net = nets.Network.initialize(_build_net_spec(cfg), seed=cfg["seed"])
     net, new_metrics = traineval.train(
@@ -260,6 +260,20 @@ def cmd_train(cfg) -> int:
     print(f"train: {cfg['task']} epochs {start_epoch}..{tc.epochs - 1}, "
           f"final {final.split} metric {final.metric:.4f} -> {metrics_path}")
     return EXIT_OK
+
+
+def _check_resume_matches(cfg, manifest_path, net, optimizer) -> None:
+    """A resumed run trains the checkpoint's net and optimizer, so the config
+    must describe the same ones."""
+    diff = cfgmod.first_difference(
+        {"net": net.spec.to_json(), "train": {
+            "optimizer": optimizer.kind,
+            "learning_rate": optimizer.learning_rate}},
+        {"net": _build_net_spec(cfg).to_json(), "train": {
+            k: cfg["train"][k] for k in ("optimizer", "learning_rate")}})
+    if diff is not None:
+        raise ConfigError(f"resume: {manifest_path} differs from the config "
+                          f"at {diff}")
 
 
 def cmd_eval(cfg) -> int:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
 
 from .errors import ConfigError
+from .regularizers import RegularizerConfig
+from .traineval import TrainConfig
 
 _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
@@ -85,11 +88,8 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "coord_budget": _POSINT,
                 "fault_injection": {"type": "boolean"},
-                "unet_levels": {"type": "integer", "minimum": 2},
-                "unet_base_channels": _POSINT,
                 "unet_input_extent": _POSINT,
             },
         },
@@ -141,13 +141,11 @@ DEFAULTS = {
              "toy_classes": 10},
     "arch": {"levels": 3, "base_channels": 8, "input_extent": 40},
     "sharing": {"enabled": True, "p": 15},
-    "train": {"optimizer": "adam", "learning_rate": 1e-3, "batch_size": 4,
-              "epochs": 10, "eval_every": 1, "record_seconds": True},
-    "regularizers": {"unit_norm_seeds": False, "l1_alpha": 0.0,
-                     "nuclear_alpha": 0.0, "dropout_p": 0.1},
-    "gradcheck": {"tolerance": 1e-4, "coord_budget": 10_000,
-                  "fault_injection": False, "unet_levels": 2,
-                  "unet_base_channels": 2, "unet_input_extent": 12},
+    # the run's seed is the top-level key
+    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
+    "regularizers": asdict(RegularizerConfig()),
+    "gradcheck": {"coord_budget": 10_000, "fault_injection": False,
+                  "unet_input_extent": 12},
     "params_sweep": {"net": "layer", "m": 64, "n": 32, "p": 15,
                      "spatial_dims": 3, "kernel_extents": [3, 5, 7, 9]},
     "subset": {"fractions": [0.1, 0.2, 0.35]},
@@ -215,6 +213,22 @@ def validate(doc: dict) -> None:
     except jsonschema.ValidationError as e:
         where = ".".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"config key {where}: {e.message}") from None
+
+
+def first_difference(a, b) -> str | None:
+    """Dotted path (list items by index) of the first leaf, in sorted path
+    order, where two JSON documents differ; None if they are equal."""
+    la, lb = _leaves(a), _leaves(b)
+    return next((k for k in sorted(la.keys() | lb.keys())
+                 if k not in la or k not in lb or la[k] != lb[k]), None)
+
+
+def _leaves(doc, path: str = "") -> dict:
+    if not (isinstance(doc, (dict, list)) and doc):
+        return {path: doc}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return {leaf: value for key, sub in items
+            for leaf, value in _leaves(sub, f"{path}.{key}".lstrip(".")).items()}
 
 
 def write_resolved(doc: dict, output_dir) -> Path:

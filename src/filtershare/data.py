@@ -245,6 +245,7 @@ def split(dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0):
 # ---------------------------------------------------------------------------
 
 VOLUME_EXTENT = 40
+VOLUME_NOISE_SIGMA = 0.2
 
 
 @dataclass(frozen=True)
@@ -264,11 +265,11 @@ class VolumeSample:
     params: EllipsoidParams
 
 
-def ellipsoid_mask(params: EllipsoidParams,
-                   extent: int = VOLUME_EXTENT) -> np.ndarray:
-    """Voxels whose quadratic form (rotated, axis-scaled radius) is <= 1."""
-    grid = np.stack(np.meshgrid(*([np.arange(extent, dtype=np.float64)] * 3),
-                                indexing="ij"), axis=-1)
+def ellipsoid_mask(params: EllipsoidParams) -> np.ndarray:
+    """Voxels of the VOLUME_EXTENT^3 grid whose quadratic form (rotated,
+    axis-scaled radius) is <= 1."""
+    axis = np.arange(VOLUME_EXTENT, dtype=np.float64)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     rel = grid - np.asarray(params.center)
     rot = np.asarray(params.rotation)
     local = rel @ rot  # rotate into ellipsoid frame (columns are axes)
@@ -298,8 +299,7 @@ def _smooth_background(rng: np.random.Generator, extent: int) -> np.ndarray:
     return bg
 
 
-def synth_nodule_dataset(count: int, seed: int,
-                         noise_sigma: float = 0.2) -> list[VolumeSample]:
+def synth_nodule_dataset(count: int, seed: int) -> list[VolumeSample]:
     """Seeded volumes: smooth background + one bright rotated ellipsoid
     (semi-axes 3..8 voxels, fully inside the volume) + white noise, then
     standardized to zero mean / unit variance per volume."""
@@ -319,7 +319,7 @@ def synth_nodule_dataset(count: int, seed: int,
         mask = ellipsoid_mask(params)
         vol = _smooth_background(rng, VOLUME_EXTENT)
         vol += contrast * mask
-        vol += rng.normal(0.0, noise_sigma, size=vol.shape)
+        vol += rng.normal(0.0, VOLUME_NOISE_SIGMA, size=vol.shape)
         vol = (vol - vol.mean()) / vol.std()
         samples.append(VolumeSample(
             volume=Tensor._wrap(vol[None].copy()),  # (1, 40, 40, 40) stack
@@ -352,11 +352,15 @@ def _class_templates(seed: int, num_classes: int) -> np.ndarray:
     return templates
 
 
-def toy_image_dataset(count: int, seed: int, num_classes: int = 10,
-                      contrast: float = 0.10,
-                      noise_sigma: float = 0.45) -> list[LabeledImage]:
-    """Balanced labeled images: class template * contrast + noise, centered
-    at 0.5 and clipped to [0, 1]. Item i carries label i % num_classes."""
+TOY_CONTRAST = 0.10
+TOY_NOISE_SIGMA = 0.45
+
+
+def toy_image_dataset(count: int, seed: int,
+                      num_classes: int = 10) -> list[LabeledImage]:
+    """Balanced labeled images: class template * TOY_CONTRAST + noise of
+    sigma TOY_NOISE_SIGMA, centered at 0.5 and clipped to [0, 1]. Item i
+    carries label i % num_classes."""
     if count < 1:
         raise ConfigError(f"dataset size must be >= 1, got {count}")
     if not 1 <= num_classes <= 10:
@@ -366,8 +370,8 @@ def toy_image_dataset(count: int, seed: int, num_classes: int = 10,
     for i in range(count):
         rng = child_rng(seed, _TAG_SAMPLE, i)
         label = i % num_classes
-        img = 0.5 + contrast * templates[label]
-        img = img + rng.normal(0.0, noise_sigma, size=img.shape)
+        img = 0.5 + TOY_CONTRAST * templates[label]
+        img = img + rng.normal(0.0, TOY_NOISE_SIGMA, size=img.shape)
         img = np.clip(img, 0.0, 1.0)
         samples.append(LabeledImage(Tensor._wrap(img), label))
     return samples

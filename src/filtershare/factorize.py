@@ -5,7 +5,8 @@ finds the optimal rank-P bank + coefficients by truncated SVD (Eckart-Young:
 no rank-P factorization has lower Frobenius reconstruction error), and
 `compare_posthoc_vs_direct` measures how substituting that reconstruction -
 with no retraining - stacks up against a network whose bank was trained
-directly. The SVD itself is an in-repo one-sided Jacobi iteration
+directly; the two nets' spec JSON must agree in everything but each layer's
+sharing P. The SVD itself is an in-repo one-sided Jacobi iteration
 (`jacobi_svd`); besides the factorization, it is the independent reference
 that acceptance criterion 9 checks the nuclear-norm penalty's
 `np.linalg.svd` against.
@@ -19,17 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets, traineval
+from .config import first_difference
 from .errors import ConfigError, NumericError
 from .sharedconv import expand_filters
 from .tensor import Tensor
 
 
-def jacobi_svd(a, tol: float = 1e-12,
-               max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD a = U @ diag(s) @ Vt via one-sided Jacobi rotations.
 
     Sweeps orthogonalize column pairs until every normalized off-diagonal
-    Gram entry falls below tol; singular values arrive sorted descending.
+    Gram entry falls below JACOBI_TOL; singular values arrive sorted
+    descending. NumericError after JACOBI_MAX_SWEEPS sweeps.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -38,7 +44,7 @@ def jacobi_svd(a, tol: float = 1e-12,
     w = (a.T if transposed else a).copy()
     n = w.shape[1]
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -51,7 +57,7 @@ def jacobi_svd(a, tol: float = 1e-12,
                 if scale == 0.0:
                     continue
                 off = max(off, abs(apq) / scale)
-                if abs(apq) <= tol * scale:
+                if abs(apq) <= JACOBI_TOL * scale:
                     continue
                 zeta = (aqq - app) / (2.0 * apq)
                 t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
@@ -63,12 +69,12 @@ def jacobi_svd(a, tol: float = 1e-12,
                 vp = v[:, p].copy()
                 v[:, p] = c * vp - s * v[:, q]
                 v[:, q] = s * vp + c * v[:, q]
-        if off <= tol:
+        if off <= JACOBI_TOL:
             break
     else:
         raise NumericError(
-            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps "
-            f"on a {a.shape} matrix (residual off-diagonal {off:.3e})"
+            f"one-sided Jacobi SVD did not converge within {JACOBI_MAX_SWEEPS} "
+            f"sweeps on a {a.shape} matrix (residual off-diagonal {off:.3e})"
         )
     sigma = np.sqrt((w * w).sum(axis=0))
     order = np.argsort(-sigma, kind="stable")
@@ -94,7 +100,7 @@ class Factorization:
     retained_energy: float
 
 
-def decompose(filters: Tensor, p: int, tol: float = 1e-12) -> Factorization:
+def decompose(filters: Tensor, p: int) -> Factorization:
     """Optimal rank-P factorization of an (M, N, *k) filter stack.
 
     Seeds are the top P right singular vectors of the (M*N) x S filter
@@ -115,7 +121,7 @@ def decompose(filters: Tensor, p: int, tol: float = 1e-12) -> Factorization:
             f"rank P must lie in 1..{max_p} for {m * n} filters of {s_elems} "
             f"elements, got {p}"
         )
-    u, sigma, vt = jacobi_svd(mat, tol=tol)
+    u, sigma, vt = jacobi_svd(mat)
     seeds = vt[:p].reshape((p,) + kernel_extents)
     alpha = (u[:, :p] * sigma[:p]).reshape(m, n, p)
     total_energy = float((sigma * sigma).sum())
@@ -156,23 +162,17 @@ class ComparisonRow:
 
 
 def _check_matched(unshared: nets.Network, shared: nets.Network) -> None:
-    a, b = unshared.spec, shared.spec
-    if len(a.layers) != len(b.layers) or a.head != b.head:
-        raise ConfigError("checkpoints hold architecturally different networks")
-    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
-        if type(la) is not type(lb):
-            raise ConfigError(
-                f"layer {i} differs between checkpoints: "
-                f"{type(la).__name__} vs {type(lb).__name__}"
-            )
-        if isinstance(la, nets.ConvBlock):
-            ca, cb = la.conv, lb.conv
-            same = (ca.in_channels == cb.in_channels
-                    and ca.out_channels == cb.out_channels
-                    and ca.kernel_extents == cb.kernel_extents
-                    and ca.padding == cb.padding)
-            if not same:
-                raise ConfigError(f"conv layer {i} differs between checkpoints")
+    """The two nets' spec JSON must agree in everything but each layer's P."""
+    diff = first_difference(*(_without_p(net.spec.to_json())
+                              for net in (unshared, shared)))
+    if diff is not None:
+        raise ConfigError(f"checkpoints hold architecturally different "
+                          f"networks: they differ at {diff}")
+
+
+def _without_p(doc: dict) -> dict:
+    return {**doc, "layers": [{k: v for k, v in layer.items()
+                               if k != "sharing_p"} for layer in doc["layers"]]}
 
 
 def _substitute(net: nets.Network, layer_index: int,

@@ -3,7 +3,8 @@
 Both builders can enable filter sharing per conv layer; a requested P above
 a layer's breakeven is clamped (with a warning) so sharing never inflates the
 weight count. NetSpecs validate end to end by symbolic shape propagation
-before any training, and serialize to JSON so experiments are config-driven.
+before any training. They serialize to JSON (the checkpoint manifest's "net")
+by one rule for every layer: its "kind" plus its dataclass fields.
 
 Stand-in notes: the CIFAR net is a conventional 3-conv-block classifier
 frozen here as the reference layout. The U-Net keeps the analysis/synthesis
@@ -15,7 +16,8 @@ sigmoid over a single output channel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -80,179 +82,131 @@ class NetSpec:
     # -- JSON round trip ----------------------------------------------------
 
     def to_json(self) -> dict:
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, ConvBlock):
-                layers.append({
-                    "kind": "conv",
-                    "in_channels": layer.conv.in_channels,
-                    "out_channels": layer.conv.out_channels,
-                    "kernel_extents": list(layer.conv.kernel_extents),
-                    "padding": layer.conv.padding,
-                    "sharing_p": layer.conv.sharing_p,
-                    "activation": layer.activation,
-                    "dropout": layer.dropout,
-                    "save_as": layer.save_as,
-                })
-            elif isinstance(layer, Pool):
-                layers.append({"kind": "pool", "window": layer.window})
-            elif isinstance(layer, UpsampleConcat):
-                layers.append({"kind": "upsample_concat",
-                               "factor": layer.factor, "skip": layer.skip})
-            elif isinstance(layer, GlobalAvgPool):
-                layers.append({"kind": "global_avg_pool"})
-            elif isinstance(layer, Dense):
-                layers.append({"kind": "dense", "in_dim": layer.in_dim,
-                               "out_dim": layer.out_dim})
-            else:
-                raise ConfigError(f"unserializable layer {layer!r}")
         return {"name": self.name, "input_shape": list(self.input_shape),
-                "layers": layers, "head": self.head}
+                "layers": [_layer_to_json(layer) for layer in self.layers],
+                "head": self.head}
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetSpec":
-        layers = []
-        for entry in doc["layers"]:
-            kind = entry["kind"]
-            if kind == "conv":
-                layers.append(ConvBlock(
-                    conv=sc.ConvLayerSpec(
-                        in_channels=entry["in_channels"],
-                        out_channels=entry["out_channels"],
-                        kernel_extents=tuple(entry["kernel_extents"]),
-                        padding=entry["padding"],
-                        sharing_p=entry["sharing_p"],
-                    ),
-                    activation=entry["activation"],
-                    dropout=entry["dropout"],
-                    save_as=entry["save_as"],
-                ))
-            elif kind == "pool":
-                layers.append(Pool(window=entry["window"]))
-            elif kind == "upsample_concat":
-                layers.append(UpsampleConcat(factor=entry["factor"],
-                                             skip=entry["skip"]))
-            elif kind == "global_avg_pool":
-                layers.append(GlobalAvgPool())
-            elif kind == "dense":
-                layers.append(Dense(in_dim=entry["in_dim"],
-                                    out_dim=entry["out_dim"]))
-            else:
-                raise ConfigError(f"unknown layer kind {kind!r}")
-        return cls(name=doc["name"], input_shape=tuple(doc["input_shape"]),
-                   layers=tuple(layers), head=doc["head"])
+        """Inverse of to_json. A layer entry must hold exactly its kind's
+        keys; a missing or unknown key raises ConfigError."""
+        return cls(name=doc["name"], input_shape=doc["input_shape"],
+                   layers=[_layer_from_json(i, entry)
+                           for i, entry in enumerate(doc["layers"])],
+                   head=doc["head"])
+
+
+# The JSON "kind" of each layer class. An entry holds the class's fields
+# under their own names; a ConvBlock's ConvLayerSpec fields sit flat in it.
+_LAYER_KINDS = {"conv": ConvBlock, "pool": Pool,
+                "upsample_concat": UpsampleConcat,
+                "global_avg_pool": GlobalAvgPool, "dense": Dense}
+_KIND_OF = {cls: kind for kind, cls in _LAYER_KINDS.items()}
+
+
+def _layer_to_json(layer) -> dict:
+    if type(layer) not in _KIND_OF:
+        raise ConfigError(f"unserializable layer {layer!r}")
+    return {"kind": _KIND_OF[type(layer)], **_flat(layer)}
+
+
+def _flat(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_flat(value))
+        else:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _unflat(cls, entry: dict):
+    types = get_type_hints(cls)
+    return cls(**{f.name: (_unflat(types[f.name], entry)
+                           if is_dataclass(types[f.name]) else entry[f.name])
+                  for f in fields(cls)})
+
+
+def _layer_from_json(i: int, entry: dict):
+    kind = entry["kind"]
+    if kind not in _LAYER_KINDS:
+        raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
+    try:
+        layer = _unflat(_LAYER_KINDS[kind], entry)
+    except KeyError as e:
+        raise ConfigError(f"layer {i} ({kind}): missing key {e}") from None
+    unknown = sorted(set(entry) - set(_layer_to_json(layer)))
+    if unknown:
+        raise ConfigError(f"layer {i} ({kind}): unknown keys {unknown}")
+    return layer
 
 
 # ---------------------------------------------------------------------------
 # symbolic shape propagation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerTrace:
-    index: int
-    kind: str
-    output_shape: tuple[int, ...]
-    weights: int
-    bias: int
-
-
-@dataclass
-class ShapeTrace:
-    input_shape: tuple[int, ...]
-    rows: list[LayerTrace] = field(default_factory=list)
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return self.rows[-1].output_shape if self.rows else self.input_shape
-
-
-def validate(spec: NetSpec, input_shape=None) -> ShapeTrace:
-    """Propagate shapes through every layer; raise ShapeError (naming the
-    layer index) at the first mismatch. Returns per-layer shapes and counts."""
-    shape = tuple(int(e) for e in (input_shape or spec.input_shape))
+def validate(spec: NetSpec) -> None:
+    """Propagate shapes from spec.input_shape through every layer; raise
+    ShapeError (naming the layer index) at the first mismatch."""
+    shape = spec.input_shape
     Shape(shape)
-    trace = ShapeTrace(input_shape=shape)
     saved: dict[str, tuple[int, ...]] = {}
     for i, layer in enumerate(spec.layers):
+        if type(layer) not in _KIND_OF:
+            raise ConfigError(f"layer {i}: unknown layer type {type(layer)}")
+        where = f"layer {i} ({_KIND_OF[type(layer)]})"
+        if isinstance(layer, (Pool, GlobalAvgPool)) and len(shape) < 2:
+            raise ShapeError(f"{where}: input has no spatial axes")
         if isinstance(layer, ConvBlock):
             cs = layer.conv
             if len(shape) != cs.spatial_dims + 1:
-                raise ShapeError(
-                    f"layer {i} (conv): expected {cs.spatial_dims} spatial dims "
-                    f"plus channels, got shape {shape}"
-                )
+                raise ShapeError(f"{where}: expected {cs.spatial_dims} spatial "
+                                 f"dims plus channels, got shape {shape}")
             if shape[0] != cs.in_channels:
-                raise ShapeError(
-                    f"layer {i} (conv): expects {cs.in_channels} input channels, "
-                    f"got {shape[0]}"
-                )
+                raise ShapeError(f"{where}: expects {cs.in_channels} input "
+                                 f"channels, got {shape[0]}")
             spatial = shape[1:]
             if cs.padding == sc.VALID:
                 for d, (s, k) in enumerate(zip(spatial, cs.kernel_extents)):
                     if k > s:
-                        raise ShapeError(
-                            f"layer {i} (conv): kernel extent {k} exceeds input "
-                            f"extent {s} in dimension {d}"
-                        )
+                        raise ShapeError(f"{where}: kernel extent {k} exceeds "
+                                         f"input extent {s} in dimension {d}")
                 spatial = tuple(s - k + 1
                                 for s, k in zip(spatial, cs.kernel_extents))
             shape = (cs.out_channels,) + spatial
-            pc = sc.param_count(cs)
-            trace.rows.append(LayerTrace(i, "conv", shape, pc.weights, pc.bias))
             if layer.save_as:
                 saved[layer.save_as] = shape
         elif isinstance(layer, Pool):
-            if len(shape) < 2:
-                raise ShapeError(f"layer {i} (pool): input has no spatial axes")
             for d, s in enumerate(shape[1:]):
                 if s % layer.window != 0:
-                    raise ShapeError(
-                        f"layer {i} (pool): extent {s} not divisible by window "
-                        f"{layer.window} in dimension {d}"
-                    )
+                    raise ShapeError(f"{where}: extent {s} not divisible by "
+                                     f"window {layer.window} in dimension {d}")
             shape = (shape[0],) + tuple(s // layer.window for s in shape[1:])
-            trace.rows.append(LayerTrace(i, "pool", shape, 0, 0))
         elif isinstance(layer, UpsampleConcat):
             if layer.skip not in saved:
-                raise ShapeError(
-                    f"layer {i} (upsample_concat): unknown skip {layer.skip!r}"
-                )
-            up = (shape[0],) + tuple(s * layer.factor for s in shape[1:])
+                raise ShapeError(f"{where}: unknown skip {layer.skip!r}")
+            up = tuple(s * layer.factor for s in shape[1:])
             skip_shape = saved[layer.skip]
-            if up[1:] != skip_shape[1:]:
-                raise ShapeError(
-                    f"layer {i} (upsample_concat): upsampled spatial shape "
-                    f"{up[1:]} does not match skip {layer.skip!r} {skip_shape[1:]}"
-                )
-            shape = (up[0] + skip_shape[0],) + up[1:]
-            trace.rows.append(LayerTrace(i, "upsample_concat", shape, 0, 0))
+            if up != skip_shape[1:]:
+                raise ShapeError(f"{where}: upsampled spatial shape {up} does "
+                                 f"not match skip {layer.skip!r} "
+                                 f"{skip_shape[1:]}")
+            shape = (shape[0] + skip_shape[0],) + up
         elif isinstance(layer, GlobalAvgPool):
-            if len(shape) < 2:
-                raise ShapeError(f"layer {i} (global_avg_pool): input has no "
-                                 f"spatial axes")
             shape = (shape[0],)
-            trace.rows.append(LayerTrace(i, "global_avg_pool", shape, 0, 0))
-        elif isinstance(layer, Dense):
+        else:  # Dense
             if shape != (layer.in_dim,):
-                raise ShapeError(
-                    f"layer {i} (dense): expects input shape ({layer.in_dim},), "
-                    f"got {shape}"
-                )
+                raise ShapeError(f"{where}: expects input shape "
+                                 f"({layer.in_dim},), got {shape}")
             shape = (layer.out_dim,)
-            trace.rows.append(LayerTrace(i, "dense", shape,
-                                         layer.in_dim * layer.out_dim,
-                                         layer.out_dim))
-        else:
-            raise ConfigError(f"layer {i}: unknown layer type {type(layer)}")
     if spec.head == HEAD_MASK:
         if len(shape) < 2 or shape[0] != 1:
             raise ShapeError(
                 f"mask head needs a single-channel stack, got final shape {shape}"
             )
-        trace.rows.append(LayerTrace(len(spec.layers), "mask_head", shape[1:], 0, 0))
     elif len(shape) != 1:
         raise ShapeError(f"logits head needs a vector output, got {shape}")
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -117,19 +117,20 @@ class SGD:
     def state(self) -> dict:
         return {}
 
-    def load_state(self, state: dict, params) -> None:
+    def load_state(self, state: dict) -> None:
         pass
 
 
 class Adam:
     kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ConfigError(f"learning rate must be > 0, got {learning_rate}")
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -155,7 +156,7 @@ class Adam:
     def state(self) -> dict:
         return {"t": self.t}
 
-    def load_state(self, state: dict, params) -> None:
+    def load_state(self, state: dict) -> None:
         self.t = int(state.get("t", 0))
 
 
@@ -222,7 +223,10 @@ class Metrics:
                             f"{r.metric:.12g}", f"{r.seconds:.6f}"])
 
     @classmethod
-    def read_csv(cls, path) -> "Metrics":
+    def read_csv(cls, path, last_epoch: int) -> "Metrics":
+        """Rows written by a run whose last checkpoint is at last_epoch.
+        Raises FormatError naming the file and line on a malformed row, a
+        non-finite number or an epoch past last_epoch."""
         out = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -230,13 +234,20 @@ class Metrics:
             if tuple(header) != METRICS_HEADER:
                 raise FormatError(f"{path}: unexpected metrics header {header}")
             for row in reader:
+                where = f"{path}: line {reader.line_num}"
                 try:
                     epoch, split, loss, metric, seconds = row
-                    out.append(MetricsRow(int(epoch), split, float(loss),
-                                          float(metric), float(seconds)))
+                    r = MetricsRow(int(epoch), split, float(loss),
+                                   float(metric), float(seconds))
                 except ValueError:
-                    raise FormatError(f"{path}: line {reader.line_num}: "
-                                      f"malformed metrics row {row}") from None
+                    raise FormatError(f"{where}: malformed metrics row "
+                                      f"{row}") from None
+                if not np.all(np.isfinite([r.loss, r.metric, r.seconds])):
+                    raise FormatError(f"{where}: non-finite value in {row}")
+                if r.epoch > last_epoch:
+                    raise FormatError(f"{where}: epoch {r.epoch} is past the "
+                                      f"checkpoint's epoch {last_epoch}")
+                out.append(r)
         return out
 
 
@@ -376,7 +387,7 @@ def train(net: nets.Network, train_set, val_set, config: TrainConfig,
         if checkpoint_dir is not None:
             save_checkpoint(Path(checkpoint_dir) / f"epoch_{epoch:04d}",
                             net, optimizer, epoch)
-            _prune_checkpoints(checkpoint_dir, keep=2)
+            _prune_checkpoints(checkpoint_dir)
     return net, metrics
 
 
@@ -448,7 +459,7 @@ def load_checkpoint(directory) -> tuple[nets.Network, object, int]:
                              f"the net spec's {sorted(shapes)}")
         opt_info = manifest["optimizer"]
         optimizer = make_optimizer(opt_info["kind"], opt_info["learning_rate"])
-        optimizer.load_state(opt_info, ())
+        optimizer.load_state(opt_info)
         epoch = int(manifest["epoch"])
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError too
         raise FormatError(f"{manifest_path}: {type(e).__name__}: {e}") from None
@@ -489,6 +500,7 @@ def latest_checkpoint(directory) -> Path | None:
     return candidates[-1] if candidates else None
 
 
-def _prune_checkpoints(directory, keep: int) -> None:
-    for stale in _epoch_dirs(directory)[:-keep]:
+def _prune_checkpoints(directory) -> None:
+    """Delete all but the last two checkpoints."""
+    for stale in _epoch_dirs(directory)[:-2]:
         shutil.rmtree(stale)

@@ -202,6 +202,20 @@ def _wrong_format(ckpt):
     return _edit_manifest(ckpt, lambda m: m.update(format=2))
 
 
+def _unknown_layer_key(ckpt):
+    return _edit_manifest(ckpt, lambda m: m["net"]["layers"][0].update(
+        stride=2))
+
+
+def _missing_layer_key(ckpt):
+    return _edit_manifest(ckpt, lambda m: m["net"]["layers"][1].pop("padding"))
+
+
+def _unknown_kind(ckpt):
+    return _edit_manifest(ckpt, lambda m: m["net"]["layers"][2].update(
+        kind="avg_pool"))
+
+
 def _adam_m_without_v(ckpt):
     path = ckpt / "layer0.seeds.adam_v.bin"
     path.unlink()
@@ -213,6 +227,8 @@ CORRUPTIONS = {
     "missing_file": _missing_file, "bad_json": _bad_json,
     "missing_key": _missing_key, "wrong_format": _wrong_format,
     "adam_m_without_v": _adam_m_without_v,
+    "unknown_layer_key": _unknown_layer_key,
+    "missing_layer_key": _missing_layer_key, "unknown_kind": _unknown_kind,
 }
 
 
@@ -244,6 +260,41 @@ class TestTrainEvalCommands:
                    + ["--set", f"resume={tmp_path / 'checkpoints'}"]
                    ) == cli.EXIT_USAGE
         assert f"{metrics}: line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,why", [
+        ("0,train,nan,inf,0", "non-finite"),
+        ("7,val,1,1,0", "epoch 7 is past the checkpoint's epoch 0"),
+    ], ids=["non_finite", "future_epoch"])
+    def test_resume_rejects_metrics_the_checkpoint_cannot_have(
+            self, tmp_path, capsys, row, why):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        metrics = tmp_path / "metrics.csv"
+        with open(metrics, "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        assert run(train_args(tmp_path, epochs=2)
+                   + ["--set", f"resume={tmp_path / 'checkpoints'}"]
+                   ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{metrics}: line 4" in err and why in err
+
+    @pytest.mark.parametrize("override,where", [
+        ("sharing.enabled=false", "net.layers.0.sharing_p"),
+        ("arch.base_channels=3", "net.layers.0.out_channels"),
+        ("train.optimizer=sgd", "train.optimizer"),
+        ("train.learning_rate=0.01", "train.learning_rate"),
+    ], ids=["sharing", "arch", "optimizer", "learning_rate"])
+    def test_resume_with_other_net_or_optimizer_is_exit_2(
+            self, tmp_path, capsys, override, where):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        capsys.readouterr()
+        assert run(train_args(tmp_path, epochs=2)
+                   + ["--set", f"resume={tmp_path / 'checkpoints'}",
+                      "--set", override]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        manifest = tmp_path / "checkpoints" / "epoch_0000" / "manifest.json"
+        assert str(manifest) in err and where in err
+        assert not (tmp_path / "checkpoints" / "epoch_0001").exists()
 
     def test_subset_fraction_is_not_a_train_key(self, tmp_path, capsys):
         args = train_args(tmp_path, epochs=1) + [

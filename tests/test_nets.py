@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -16,22 +18,34 @@ def quiet_build(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def bias_count(net):
+    return sum(p.value.size for k, p in net.params.items()
+               if k.endswith(".bias"))
+
+
 class TestCifCnn:
-    def test_shape_trace_ends_at_10_logits(self):
-        trace = nets.validate(nets.build_cifcnn())
-        assert trace.output_shape == (10,)
+    def test_shape_trace_ends_at_10_logits(self, monkeypatch):
+        net = nets.Network.initialize(nets.build_cifcnn(), seed=0)
+        conv_shapes = []
+        layer_forward = sc.layer_forward
+
+        def traced(*args):
+            out = layer_forward(*args)
+            conv_shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(sc, "layer_forward", traced)
+        assert net.forward(Tensor(np.zeros((3, 32, 32)))).shape == (10,)
         # conv 32x32 ->(5x5 valid) 28 -> pool 14 ->(5x5) 10 -> pool 5 ->(3x3) 3
-        conv_shapes = [r.output_shape for r in trace.rows if r.kind == "conv"]
         assert conv_shapes == [(32, 28, 28), (64, 10, 10), (64, 3, 3)]
 
     def test_unshared_total_matches_hand_sum(self):
-        spec = nets.build_cifcnn(shared=False)
-        trace = nets.validate(spec)
+        net = nets.Network.initialize(nets.build_cifcnn(shared=False), seed=0)
         # conv1 32*3*25, conv2 64*32*25, conv3 64*64*9, dense 64*10 + biases
         weights = 32 * 3 * 25 + 64 * 32 * 25 + 64 * 64 * 9 + 64 * 10
         bias = 32 + 64 + 64 + 10
-        assert nets.Network.initialize(spec, seed=0).weight_count() == weights
-        assert sum(r.bias for r in trace.rows) == bias
+        assert net.weight_count() == weights
+        assert bias_count(net) == bias
 
     def test_shared_layers_use_sharing_formula(self):
         spec = quiet_build(nets.build_cifcnn, shared=True, p=15)
@@ -76,18 +90,18 @@ class TestCifCnn:
 
 class TestUnet3d:
     def test_output_shape_matches_input(self):
-        trace = nets.validate(quiet_build(nets.build_unet3d, shared=True, p=15))
-        assert trace.output_shape == (40, 40, 40)
+        net = nets.Network.initialize(
+            quiet_build(nets.build_unet3d, shared=True, p=15), seed=0)
+        assert net.forward(Tensor(np.zeros((1, 40, 40, 40)))).shape \
+            == (40, 40, 40)
 
     def test_unshared_total_matches_hand_sum(self):
-        spec = nets.build_unet3d(shared=False)
-        trace = nets.validate(spec)
         weights = 27 * (1 * 8 + 8 * 8 + 8 * 16 + 16 * 16 + 16 * 32 + 32 * 32
                         + 48 * 16 + 16 * 16 + 24 * 8 + 8 * 8) + 8 * 1
         bias = 8 + 8 + 16 + 16 + 32 + 32 + 16 + 16 + 8 + 8 + 1
-        net = nets.Network.initialize(spec, seed=0)
+        net = nets.Network.initialize(nets.build_unet3d(shared=False), seed=0)
         assert net.weight_count() == weights == 88352
-        assert sum(r.bias for r in trace.rows) == bias == 161
+        assert bias_count(net) == bias == 161
 
     def test_shared_strictly_fewer_weights(self):
         shared = nets.Network.initialize(
@@ -106,15 +120,18 @@ class TestUnet3d:
         assert out.array.min() > 0.0 and out.array.max() < 1.0
 
     def test_indivisible_input_extent(self):
-        spec = nets.build_unet3d(shared=False)
+        spec = nets.build_unet3d(shared=False, input_extent=41)
         with pytest.raises(ShapeError, match="pool"):
-            nets.validate(spec, (1, 41, 41, 41))
+            nets.validate(spec)
 
-    def test_shape_invariant_to_channels_and_p(self):
-        a = nets.validate(nets.build_unet3d(base_channels=4))
-        b = nets.validate(quiet_build(nets.build_unet3d, base_channels=8,
-                                      shared=True, p=5))
-        assert a.output_shape == b.output_shape
+    def test_shape_invariant_to_channels_and_p(self, rng):
+        x = Tensor(rng.normal(size=(1, 8, 8, 8)))
+        a = nets.Network.initialize(
+            nets.build_unet3d(base_channels=4, input_extent=8), seed=0)
+        b = nets.Network.initialize(
+            quiet_build(nets.build_unet3d, base_channels=8, shared=True, p=5,
+                        input_extent=8), seed=0)
+        assert a.forward(x).shape == b.forward(x).shape == (8, 8, 8)
 
     def test_backward_skips_input_gradient_of_constant_input(self, rng,
                                                              monkeypatch):
@@ -160,11 +177,16 @@ class TestNetworkParams:
                              "base_channels": 2, "input_extent": 8}),
     ])
     def test_registered_scalars_equal_trace_total(self, builder, kwargs):
+        """The registered scalars are those that sharedconv.param_count
+        gives per conv layer, plus in*out + out per dense layer."""
         spec = quiet_build(builder, **kwargs)
         net = nets.Network.initialize(spec, seed=0)
-        trace = nets.validate(spec)
-        assert (sum(p.value.size for p in net.parameters())
-                == sum(r.weights + r.bias for r in trace.rows))
+        counts = [sc.param_count(layer.conv) for layer in spec.layers
+                  if isinstance(layer, nets.ConvBlock)]
+        dense = [layer for layer in spec.layers if isinstance(layer, nets.Dense)]
+        assert sum(p.value.size for p in net.parameters()) == (
+            sum(pc.weights + pc.bias for pc in counts)
+            + sum(d.in_dim * d.out_dim + d.out_dim for d in dense))
 
     def test_initialization_is_seed_deterministic(self):
         a = nets.Network.initialize(nets.build_cifcnn(), seed=4)
@@ -195,6 +217,21 @@ class TestNetSpecJson:
             assert back == spec
 
     def test_json_is_plain_data(self):
-        import json
         doc = nets.build_cifcnn().to_json()
         json.dumps(doc)  # must not raise
+
+    @pytest.mark.parametrize("builder,digest", [
+        (nets.build_unet3d,
+         "7a5f8f29da1e2f27da9b658c886c3b1862bee29ede1514bfbeb6bea55af8c78d"),
+        (nets.build_cifcnn,
+         "1f1b74f8019b5aa360caa6eb61055a01d131a4b2f16d3b51695e14b35ab6e26d"),
+    ])
+    def test_default_shared_json_bytes_pinned(self, builder, digest):
+        """Saved manifests and perfbench/checks.py read this JSON, so its
+        keys and values must not drift."""
+        doc = quiet_build(builder, shared=True).to_json()
+        assert sorted(doc["layers"][0]) == [
+            "activation", "dropout", "in_channels", "kernel_extents", "kind",
+            "out_channels", "padding", "save_as", "sharing_p"]
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -325,7 +325,7 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         m.write_csv(path)
         assert path.read_text().splitlines()[0] == "epoch,split,loss,metric,seconds"
-        back = te.Metrics.read_csv(path)
+        back = te.Metrics.read_csv(path, last_epoch=0)
         assert back.rows == m.rows
 
     @pytest.mark.parametrize("bad_row", ["0,train,abc,1,0", "0,train,1.5,1",
@@ -336,7 +336,7 @@ class TestMetricsCsv:
         path.write_text("epoch,split,loss,metric,seconds\n"
                         "0,val,1.25,0.5,2.0\n" + bad_row + "\n")
         with pytest.raises(FormatError, match=r"metrics\.csv: line 3"):
-            te.Metrics.read_csv(path)
+            te.Metrics.read_csv(path, last_epoch=0)
 
     @pytest.mark.parametrize("text", ["", "epoch,split\n"],
                              ids=["empty", "bad_header"])
@@ -344,4 +344,4 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         path.write_text(text)
         with pytest.raises(FormatError, match=r"metrics\.csv: unexpected"):
-            te.Metrics.read_csv(path)
+            te.Metrics.read_csv(path, last_epoch=0)
