@@ -258,7 +258,8 @@ def conv_stack(x, f, b, widths) -> Var:
 
     The forward (partial) im2col matrix is kept on the tape and reused by the
     filter gradient; the input gradient is that of the unpadded x, so backward
-    costs one extra partial im2col plus two sets of k[0] matrix products. A
+    costs one extra partial im2col plus two sets of prod(k[:-1]) matrix
+    products (k[0] in 1D, where no kernel axis is unrolled). A
     constant x (one that requires no gradient, like a network's input) gets
     no input gradient at all.
     """

@@ -249,12 +249,14 @@ def cmd_train(cfg) -> int:
             metrics = traineval.Metrics.read_csv(metrics_path, last_epoch)
     else:
         net = nets.Network.initialize(_build_net_spec(cfg), seed=cfg["seed"])
-    net, new_metrics = traineval.train(
-        net, train_set, val_set, tc, reg,
-        checkpoint_dir=out / "checkpoints", start_epoch=start_epoch,
-        optimizer=optimizer)
-    metrics.extend(new_metrics)
-    metrics.write_csv(metrics_path)
+    try:
+        traineval.train(net, train_set, val_set, tc, reg,
+                        checkpoint_dir=out / "checkpoints",
+                        start_epoch=start_epoch, optimizer=optimizer,
+                        metrics=metrics)
+    finally:
+        # an abort keeps the rows of the epochs whose checkpoints are on disk
+        metrics.write_csv(metrics_path)
     cfgmod.write_resolved(cfg, out)
     final = metrics.final("val") or metrics.final("train")
     print(f"train: {cfg['task']} epochs {start_epoch}..{tc.epochs - 1}, "
@@ -262,15 +264,18 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _check_resume_matches(cfg, manifest_path, net, optimizer) -> None:
-    """A resumed run trains the checkpoint's net and optimizer, so the config
-    must describe the same ones."""
-    diff = cfgmod.first_difference(
-        {"net": net.spec.to_json(), "train": {
-            "optimizer": optimizer.kind,
-            "learning_rate": optimizer.learning_rate}},
-        {"net": _build_net_spec(cfg).to_json(), "train": {
-            k: cfg["train"][k] for k in ("optimizer", "learning_rate")}})
+def _check_resume_matches(cfg, manifest_path, net, optimizer=None) -> None:
+    """A resumed run trains the checkpoint's net and optimizer, and `eval`
+    evaluates its net, so the config must describe the same ones. `eval`
+    passes no optimizer, and only the nets are compared."""
+    ours = {"net": net.spec.to_json()}
+    configured = {"net": _build_net_spec(cfg).to_json()}
+    if optimizer is not None:
+        ours["train"] = {"optimizer": optimizer.kind,
+                         "learning_rate": optimizer.learning_rate}
+        configured["train"] = {k: cfg["train"][k]
+                               for k in ("optimizer", "learning_rate")}
+    diff = cfgmod.first_difference(ours, configured)
     if diff is not None:
         raise ConfigError(f"resume: {manifest_path} differs from the config "
                           f"at {diff}")
@@ -284,6 +289,7 @@ def cmd_eval(cfg) -> int:
     if latest is None:
         raise ConfigError(f"eval: no checkpoints under {cfg['resume']}")
     net, _, epoch = traineval.load_checkpoint(latest)
+    _check_resume_matches(cfg, latest / "manifest.json", net)
     _, _, test_set = _load_task_data(cfg)
     loss, metric = traineval.evaluate(net, test_set)
     metrics = traineval.Metrics()

@@ -3,11 +3,14 @@
 Arrays are "stacks" with a leading channel axis (channels, *spatial). The one
 convolution is a channel-stacked cross-correlation (no kernel flip; learned
 filters absorb it), computed as a partial im2col (MEC: Cho & Brand, ICML
-2017). `stack_cols` unrolls only the kernel axes after the first (k[1]*k[2] in
-3D, k[1] in 2D, none in 1D), so its matrix holds prod(k[1:]) copies of the
-input rather than prod(k). Each offset u along the first kernel axis is a
-contiguous column window of that matrix, and the forward pass sums k[0] GEMMs
-`F_u @ window_u`; the filter gradient is k[0] GEMMs against the same windows.
+2017). `stack_cols` unrolls only the last kernel axis (k[2] in 3D, k[1] in
+2D, none in 1D), so its matrix holds k[-1] copies of the input rather than
+prod(k). Each offset on the other kernel axes is a column window of that
+matrix: in 3D the columns form the grid (sp[0], sp[1], out_sp[2]) and offset
+(u, a) starts u*sp[1] + a grid rows in, so the forward pass sums k[0]*k[1]
+GEMMs `F_ua @ window_ua` and keeps only the out_sp[1] valid rows of each
+plane; the filter gradient is k[0]*k[1] GEMMs against the same windows. In
+2D and 1D the windows hold exactly the output.
 The caller (`autodiff.conv_stack`, the one place that checks a conv call's
 filter rank and channel count) zero-pads the input with `pad_stack`, builds
 its matrix with `stack_cols` and hands that to `conv_stack`.
@@ -19,10 +22,10 @@ On import this module sets a process-wide glibc allocator policy through
 `mallopt`: blocks below 1 GiB come from the heap rather than their own `mmap`
 (`M_MMAP_THRESHOLD`), and freed memory goes back to the kernel only when more
 than 2 GiB of it sits at the top of the heap (`M_TRIM_THRESHOLD`). A 40^3
-U-Net training sample builds about 0.4 GB of im2col matrices, up to 111 MB
-each. With glibc's defaults each is a fresh `mmap` whose pages the kernel
-faults in and zeroes again, about a fifth of a training sample and more of an
-inference pass; with the policy, later buffers reuse the pages of freed ones.
+U-Net training sample builds about 147 MiB of im2col matrices, up to 39 MiB
+each. With glibc's defaults a buffer above its mmap threshold (which grows to
+at most 32 MiB) is a fresh `mmap` whose pages the kernel faults in and zeroes
+again; with the policy, later buffers reuse the pages of freed ones.
 The cost is that the resident set stays at the run's high-water mark until
 exit. Where libc has no `mallopt` (not glibc), the call is skipped.
 """
@@ -30,9 +33,10 @@ exit. Where libc has no `mallopt` (not glibc), the call is skipped.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, ShapeError
 
@@ -69,41 +73,80 @@ def require_kernel_fits(in_spatial, k_spatial, what="kernel"):
 # channel-stacked convolution: x (N, *sp), filters (M, N, *k) -> (M, *out_sp)
 # ---------------------------------------------------------------------------
 
-def stack_cols(x, k_spatial):
-    """Partial im2col of a (N, *sp) stack: unroll the kernel axes after the
-    first only.
+def _windowed(d):
+    """How many leading kernel axes become column windows for d spatial
+    axes: all but the last, and the one axis in 1D."""
+    return max(1, d - 1)
 
-    Returns (cols, out_spatial). cols is a contiguous (N*prod(k[1:]),
-    sp[0]*A) matrix with A = prod(out_sp[1:]); its rows follow (channel,
-    *k[1:]) row-major order and its columns (sp[0], *out_sp[1:]). Kernel
-    offset u on the first axis is the column window [u*A, u*A + out_sp[0]*A)
-    (`_window`), a strided view that BLAS takes without a copy.
+
+def stack_cols(x, k_spatial):
+    """Partial im2col of a (N, *sp) stack: unroll the last kernel axis only
+    (none in 1D).
+
+    Returns (cols, out_spatial). With w = `_windowed(d)`, cols is a
+    contiguous (N*prod(k[w:]), prod(sp[:w])*prod(out_sp[w:])) matrix; its
+    rows follow (channel, *k[w:]) row-major order and its columns the grid
+    (*sp[:w], *out_sp[w:]). Each kernel offset on the first w axes is a
+    column window of that grid (`_grid`), a strided view that BLAS takes
+    without a copy.
     """
     require_kernel_fits(x.shape[1:], k_spatial)
     d = len(k_spatial)
-    win = sliding_window_view(x, k_spatial[1:], axis=tuple(range(2, 1 + d)))
-    out_sp = (x.shape[1] - k_spatial[0] + 1,) + win.shape[2:1 + d]
-    perm = (0,) + tuple(range(1 + d, 2 * d)) + tuple(range(1, 1 + d))
+    w = _windowed(d)
+    win = sliding_window_view(x, k_spatial[w:], axis=tuple(range(1 + w, 1 + d)))
+    out_sp = tuple(s - e + 1 for s, e in zip(x.shape[1:], k_spatial))
+    perm = (0,) + tuple(range(1 + d, 1 + 2 * d - w)) + tuple(range(1, 1 + d))
     cols = win.transpose(perm).reshape(
-        x.shape[0] * int(np.prod(k_spatial[1:])), -1)
+        x.shape[0] * math.prod(k_spatial[w:]), -1)
     return np.ascontiguousarray(cols), out_sp
 
 
-def _window(cols, u, out_spatial):
-    a = int(np.prod(out_spatial[1:]))
-    return cols[:, u * a:(u + out_spatial[0]) * a]
+def _grid(k_spatial, out_spatial):
+    """Layout of `stack_cols`' columns for a kernel and output extent.
+
+    Returns (starts, length, strides): the first column of the window of
+    each kernel offset on the windowed axes (row-major offset order), the
+    length all windows share, and the column stride of each output axis.
+    Output point o sits at column sum(o * strides) of every window. When
+    length == prod(out_spatial) (1D, 2D) the windows hold exactly the
+    output; in 3D they also hold the sp[1] - out_sp[1] grid rows per plane
+    that fall in the padding."""
+    w = _windowed(len(k_spatial))
+    grid = tuple(o + e - 1 for o, e in zip(out_spatial[:w], k_spatial[:w]))
+    grid += tuple(out_spatial[w:])
+    strides = tuple(math.prod(grid[i + 1:]) for i in range(len(grid)))
+    starts = [0]
+    for e, stride in zip(k_spatial[:w], strides):
+        starts = [s + u * stride for s in starts for u in range(e)]
+    return starts, math.prod(grid) - starts[-1], strides
+
+
+def _on_grid(a, out_spatial, strides):
+    """The (M, *out_spatial) points of an (M, length) window-shaped array,
+    as a strided view."""
+    return as_strided(a, (a.shape[0],) + tuple(out_spatial),
+                      (a.strides[0],) + tuple(s * a.itemsize for s in strides))
+
+
+def _window(cols, start, length):
+    return cols[:, start:start + length]
 
 
 def _window_sum(f, cols, out_spatial):
     """sum_u F_u @ window_u of `stack_cols`' matrix, where F_u is the
-    (M, N*prod(k[1:])) slice of the (M, N, *k) filters at first-axis kernel
-    offset u -> (M, *out_spatial)."""
-    fu = np.ascontiguousarray(np.moveaxis(f, 2, 0)).reshape(
-        f.shape[2], f.shape[0], -1)
-    out = fu[0] @ _window(cols, 0, out_spatial)
+    (M, N*prod(k[w:])) slice of the (M, N, *k) filters at offset u on the
+    windowed kernel axes -> (M, *out_spatial)."""
+    w = _windowed(f.ndim - 2)
+    starts, length, strides = _grid(f.shape[2:], out_spatial)
+    fu = np.ascontiguousarray(
+        np.moveaxis(f, tuple(range(2, 2 + w)), tuple(range(w)))).reshape(
+        len(starts), f.shape[0], -1)
+    out = fu[0] @ _window(cols, starts[0], length)
     for u in range(1, len(fu)):
-        out += fu[u] @ _window(cols, u, out_spatial)
-    return out.reshape((f.shape[0],) + tuple(out_spatial))
+        out += fu[u] @ _window(cols, starts[u], length)
+    if length == math.prod(out_spatial):
+        return out.reshape((f.shape[0],) + tuple(out_spatial))
+    return np.ascontiguousarray(_on_grid(out, out_spatial, strides))
 
 
 def conv_stack(f, cols, out_spatial):
@@ -115,15 +158,23 @@ def conv_stack(f, cols, out_spatial):
 
 def conv_stack_grad_filters(g, cols, f_shape):
     """Gradient w.r.t. the (M, N, *k) filter stack given the forward cols:
-    one GEMM per first-axis kernel offset."""
-    m, k0 = f_shape[0], f_shape[2]
-    gm = g.reshape(m, -1)
+    one GEMM per kernel offset on the windowed axes, with g placed on the
+    windows' grid (zeros on the grid rows that hold no output)."""
+    m, w = f_shape[0], _windowed(len(f_shape) - 2)
     out_sp = g.shape[1:]
-    gf = np.empty((k0, m, cols.shape[0]))
-    for u in range(k0):
-        np.matmul(gm, _window(cols, u, out_sp).T, out=gf[u])
-    gf = gf.reshape((k0, m, f_shape[1]) + tuple(f_shape[3:]))
-    return np.ascontiguousarray(np.moveaxis(gf, 0, 2))
+    starts, length, strides = _grid(f_shape[2:], out_sp)
+    if length == math.prod(out_sp):
+        gm = g.reshape(m, -1)
+    else:
+        gm = np.zeros((m, length))
+        _on_grid(gm, out_sp, strides)[...] = g
+    gf = np.empty((len(starts), m, cols.shape[0]))
+    for u, start in enumerate(starts):
+        np.matmul(gm, _window(cols, start, length).T, out=gf[u])
+    gf = gf.reshape(tuple(f_shape[2:2 + w]) + (m, f_shape[1])
+                    + tuple(f_shape[2 + w:]))
+    return np.ascontiguousarray(
+        np.moveaxis(gf, tuple(range(w)), tuple(range(2, 2 + w))))
 
 
 def conv_stack_grad_input(g, f, widths):

@@ -207,9 +207,6 @@ class Metrics:
     def append(self, row: MetricsRow) -> None:
         self.rows.append(row)
 
-    def extend(self, other: "Metrics") -> None:
-        self.rows.extend(other.rows)
-
     def final(self, split: str) -> MetricsRow | None:
         picked = [r for r in self.rows if r.split == split]
         return picked[-1] if picked else None
@@ -322,12 +319,16 @@ def evaluate(net: nets.Network, dataset) -> tuple[float, float]:
 def train(net: nets.Network, train_set, val_set, config: TrainConfig,
           reg: RegularizerConfig | None = None,
           checkpoint_dir=None, start_epoch: int = 0,
-          optimizer=None) -> tuple[nets.Network, Metrics]:
+          optimizer=None,
+          metrics: Metrics | None = None) -> tuple[nets.Network, Metrics]:
     """Mini-batch training with seeded shuffling.
 
     Total loss per step is the batch-mean task loss plus any active
     coefficient penalties; gradients from per-sample tapes merge in fixed
     order. Checkpoints (last two kept) land in checkpoint_dir per epoch.
+    Each finished epoch's rows are appended to metrics (a new Metrics when
+    None), so a caller that passes its own still holds them if training
+    raises.
     """
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
@@ -336,7 +337,7 @@ def train(net: nets.Network, train_set, val_set, config: TrainConfig,
     alphas = net.alpha_params()
     banks = net.bank_params()
     optimizer = optimizer or make_optimizer(config.optimizer, config.learning_rate)
-    metrics = Metrics()
+    metrics = Metrics() if metrics is None else metrics
     n = len(train_set)
     penalties_active = bool(alphas) and (reg.l1_alpha > 0 or reg.nuclear_alpha > 0)
 

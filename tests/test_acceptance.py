@@ -354,7 +354,7 @@ class TestCriterion10Reproducibility:
             return ["eval", "--output-dir", str(out),
                     "--set", "task=synth3d", "--set", "data.count=8",
                     "--set", "arch.levels=2", "--set", "arch.base_channels=2",
-                    "--set", "arch.input_extent=8",
+                    "--set", "arch.input_extent=8", "--set", "sharing.p=3",
                     "--set", f"resume={ck}"]
 
         for tag, src in (("a", a), ("b", b)):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filtershare import cli, config as cfgmod
+from filtershare import cli, config as cfgmod, traineval
 from filtershare.errors import ConfigError
 from filtershare.tensor import Tensor, dump_tensor, load_tensor
 
@@ -158,6 +158,7 @@ def eval_args(out):
             "--set", "arch.levels=2",
             "--set", "arch.base_channels=2",
             "--set", "arch.input_extent=8",
+            "--set", "sharing.p=3",
             "--set", f"resume={out / 'checkpoints'}"]
 
 
@@ -296,6 +297,27 @@ class TestTrainEvalCommands:
         assert str(manifest) in err and where in err
         assert not (tmp_path / "checkpoints" / "epoch_0001").exists()
 
+    def test_abort_keeps_finished_epochs_rows(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A non-finite loss at epoch 1 aborts the run; metrics.csv still
+        holds epoch 0's rows, whose checkpoint is on disk."""
+        save = traineval.save_checkpoint
+
+        def save_then_blow_up(directory, net, optimizer, epoch):
+            save(directory, net, optimizer, epoch)
+            for key in ("layer0.seeds", "layer1.seeds"):
+                p = net.params[key]
+                p.assign(Tensor(p.value.array * 1e300))
+
+        monkeypatch.setattr(traineval, "save_checkpoint", save_then_blow_up)
+        assert run(train_args(tmp_path, epochs=3)) == cli.EXIT_CHECK_FAILED
+        assert "non-finite loss at epoch 1" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "metrics.csv")
+        assert rows[0] == ["epoch", "split", "loss", "metric", "seconds"]
+        assert sorted((r[0], r[1]) for r in rows[1:]) == [("0", "train"),
+                                                          ("0", "val")]
+        assert (tmp_path / "checkpoints" / "epoch_0000").exists()
+
     def test_subset_fraction_is_not_a_train_key(self, tmp_path, capsys):
         args = train_args(tmp_path, epochs=1) + [
             "--set", "train.subset_fraction=0.5"]
@@ -308,6 +330,21 @@ class TestTrainEvalCommands:
         assert run(eval_args(tmp_path)) == 0
         rows = read_csv(tmp_path / "eval_out" / "eval.csv")
         assert rows[1][1] == "test"
+
+    @pytest.mark.parametrize("override,where", [
+        ("sharing.enabled=false", "net.layers.0.sharing_p"),
+        ("arch.base_channels=3", "net.layers.0.out_channels"),
+    ], ids=["sharing", "arch"])
+    def test_eval_with_other_net_is_exit_2(self, tmp_path, capsys, override,
+                                          where):
+        assert run(train_args(tmp_path, epochs=1)) == 0
+        capsys.readouterr()
+        assert run(eval_args(tmp_path) + ["--set", override]
+                   ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        manifest = tmp_path / "checkpoints" / "epoch_0000" / "manifest.json"
+        assert str(manifest) in err and where in err
+        assert not (tmp_path / "eval_out" / "eval.csv").exists()
 
     def test_eval_rejects_nan_in_checkpoint(self, tmp_path, capsys):
         assert run(train_args(tmp_path, epochs=1)) == 0

@@ -65,7 +65,7 @@ _PAGE_REUSE_SCRIPT = """
 import json, resource
 import numpy as np
 from filtershare import kernels as K
-x = np.random.default_rng(0).normal(size=(24, 40, 40, 40))
+x = np.random.default_rng(0).normal(size=(72, 40, 40, 40))
 faults = []
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -154,7 +154,10 @@ def offset_sum_conv(x, f, b, widths, g):
 
 class TestConvWindows:
     """The partial-im2col layout (`stack_cols`' column windows) against the
-    offset-sum reference, through ad.conv_stack's forward and backward."""
+    offset-sum reference, through ad.conv_stack's forward and backward. In
+    3D the windows also span the grid rows that fall in the padding, which
+    the last two cases stress: every row but one per plane dropped, and
+    none."""
 
     @pytest.mark.parametrize("x_shape,k,widths", [
         ((2, 7), (3,), (0,)),                  # 1D VALID
@@ -168,6 +171,8 @@ class TestConvWindows:
         ((1, 3, 4, 5), (3, 3, 3), (0, 0, 0)),  # first extent = input extent
         ((2, 4, 5, 3), (3, 3, 3), (1, 1, 1)),  # 3D SAME
         ((2, 4, 5, 3), (1, 3, 3), (0, 1, 1)),  # first extent 1
+        ((2, 4, 3, 5), (3, 3, 3), (1, 0, 1)),  # second extent = input extent
+        ((2, 4, 3, 5), (3, 1, 3), (1, 0, 1)),  # second extent 1
     ])
     def test_matches_offset_sum(self, rng, x_shape, k, widths):
         m = 3
@@ -194,8 +199,10 @@ class TestConvWindows:
         xp = np.pad(x, [(0, 0)] + [(w, w) for w in widths])
         cols, out_sp = K.stack_cols(xp, k)
         assert out_sp == out_ref.shape[1:]
-        assert cols.shape == (x_shape[0] * int(np.prod(k[1:])),
-                              xp.shape[1] * int(np.prod(out_sp[1:])))
+        w = max(1, len(k) - 1)  # kernel axes taken as column windows
+        assert cols.shape == (x_shape[0] * int(np.prod(k[w:])),
+                              int(np.prod(xp.shape[1:1 + w]))
+                              * int(np.prod(out_sp[w:])))
         assert cols.flags.c_contiguous
 
 
